@@ -3,10 +3,12 @@ average latency.
 
 The throughput LP is solved from an explicitly constructed initial tableau
 whose starting vertex (all flows zero, slacks at capacity) is feasible by
-construction, so no phase-1 is ever needed on this path.  The linear latency
-LP reuses the optimal throughput tableau: the throughput variable is pinned
-to its target by two cut rows and the cost row is swapped for the delay
-costs, which keeps the whole pipeline warm-startable.
+construction, so no phase-1 is ever needed on this path.  Commodity blocks
+exist only for sources that emit demand; the other sources keep their global
+variable indices and carry zero flow.  The linear latency LP reuses the
+optimal throughput tableau: the throughput variable is pinned to its target
+by two cut rows and the cost row is swapped for the delay costs, which keeps
+the whole pipeline warm-startable.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ class VariableMap:
 
     Flow variable f_{e,s} sits at s*m + e (column-major vec of the m-by-n
     flow matrix), the capacity slack of edge e at n*m + e, and the
-    throughput variable last.
+    throughput variable last.  Every source keeps its indices, including
+    sources without outgoing demand, which have no block in the throughput
+    tableau: their flows are absent from every solution point and read as
+    zero in ``flow_matrix``.
     """
 
     n_edges: int
@@ -111,10 +116,14 @@ class LatencySolution:
 def build_throughput_tableau(net, demands, b_override=None):
     """Initial primal-feasible tableau of the maximal concurrent flow LP.
 
-    Basic variables are the flows on a regular column subset of the reduced
-    incidence matrix plus all capacity slacks; the remaining flows and the
-    throughput variable are non-basic.  The starting vertex has zero flow
-    and slacks equal to the capacities.
+    Only sources with positive total outgoing demand get a commodity block
+    (n_red balance rows, k non-basic flow columns), so the tableau has
+    n_red * |active| + m rows and k * |active| + 1 columns.  Basic variables
+    are the active sources' flows on a regular column subset of the reduced
+    incidence matrix plus all capacity slacks; their remaining flows and the
+    throughput variable are non-basic.  Inactive sources' flow variables keep
+    their global indices but appear nowhere, so they read as zero.  The
+    starting vertex has zero flow and slacks equal to the capacities.
     """
     if demands.is_zero:
         raise InfeasibleSystem("throughput requires at least one positive demand")
@@ -131,50 +140,44 @@ def build_throughput_tableau(net, demands, b_override=None):
     if len(eta) < n_red:
         raise NoIndependentColumns("no regular column subset of the reduced incidence")
     m, n = net.n_edges, net.n_vertices
-    eta_bar = [e for e in range(m) if e not in set(eta)]
+    eta = np.asarray(eta, dtype=int)
+    eta_bar = np.setdiff1d(np.arange(m), eta)
     k = len(eta_bar)
+    # a source with no outgoing demand has a zero Laplacian column: its block
+    # could only carry circulations, so it is left out of the tableau
+    active = np.flatnonzero(demands.entries.sum(axis=1) > 0)
+    n_act = active.size
     sub = reduced.reduced_incidence[:, eta]
     w_block = np.linalg.solve(sub, reduced.reduced_incidence[:, eta_bar]) if k else np.zeros((n_red, 0))
-    u_block = np.linalg.solve(sub, reduced.reduced_laplacian)
+    u_act = np.linalg.solve(sub, reduced.reduced_laplacian[:, active])
 
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
     if caps.shape != (m,) or (caps < 0).any():
         raise ValueError("capacity vector must be non-negative with one entry per edge")
 
     vm = VariableMap(m, n)
-    n_rows = n_red * n + m
-    n_cols = k * n + 1
+    n_flow_rows = n_red * n_act
+    n_rows = n_flow_rows + m
+    n_cols = k * n_act + 1
+
+    basic = np.concatenate([
+        vm.flow_index(eta[None, :], active[:, None]).ravel(),
+        vm.slack_index(eta),
+        vm.slack_index(eta_bar),
+    ])
+    nonbasic = np.append(vm.flow_index(eta_bar[None, :], active[:, None]).ravel(),
+                         vm.lambda_index)
+
+    # rows: one n_red block per active source, then the slacks of eta, eta_bar
     body = np.zeros((n_rows, n_cols))
+    body[:n_flow_rows, :-1] = np.kron(np.eye(n_act), w_block)
+    body[:n_flow_rows, -1] = u_act.T.ravel()
+    slack_rows = slice(n_flow_rows, n_flow_rows + len(eta))
+    body[slack_rows, :-1] = np.tile(-w_block, n_act)
+    body[slack_rows, -1] = -u_act.sum(axis=1)
+    body[slack_rows.stop:, :-1] = np.tile(np.eye(k), n_act)
     rhs = np.zeros(n_rows)
-    basic = np.empty(n_rows, dtype=int)
-    nonbasic = np.empty(n_cols, dtype=int)
-
-    for s in range(n):
-        for i, e in enumerate(eta):
-            basic[s * n_red + i] = vm.flow_index(e, s)
-        for j, e in enumerate(eta_bar):
-            nonbasic[s * k + j] = vm.flow_index(e, s)
-    nonbasic[-1] = vm.lambda_index
-    for i, e in enumerate(eta):
-        basic[n_red * n + i] = vm.slack_index(e)
-    for j, e in enumerate(eta_bar):
-        basic[n_red * n + len(eta) + j] = vm.slack_index(e)
-
-    u_rowsum = u_block.sum(axis=1)
-    for s in range(n):
-        rows = slice(s * n_red, (s + 1) * n_red)
-        body[rows, s * k:(s + 1) * k] = w_block
-        body[rows, -1] = u_block[:, s]
-    slack_rows = slice(n_red * n, n_red * n + len(eta))
-    for s in range(n):
-        body[slack_rows, s * k:(s + 1) * k] = -w_block
-    body[slack_rows, -1] = -u_rowsum
-    rhs[slack_rows] = caps[eta]
-    for j, e in enumerate(eta_bar):
-        r = n_red * n + len(eta) + j
-        for s in range(n):
-            body[r, s * k + j] = 1.0
-        rhs[r] = caps[e]
+    rhs[n_flow_rows:] = caps[np.concatenate([eta, eta_bar])]
 
     cost_row = np.zeros(n_cols)
     cost_row[-1] = -1.0

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import NoDemand
@@ -170,6 +169,8 @@ def demand_edge_connectivity(net, demands):
     Unit capacities are used (whole edges are deleted regardless of their
     capacity); parallel edges each count once.
     """
+    import networkx as nx  # deferred: only this diagnostic needs it
+
     if demands.is_zero:
         raise NoDemand("demand matrix is all zeros")
     graph = nx.DiGraph()

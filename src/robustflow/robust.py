@@ -220,7 +220,7 @@ def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
     )
 
 
-def _robust_latency(net, demands, q, cfg, target, denom, b_override=None,
+def _robust_latency(net, demands, q, target, denom, b_override=None,
                     keep_per_scenario=True, workers=1, allow_large=False,
                     max_scenarios=MAX_SCENARIOS, max_pivots=None):
     m = net.n_edges
@@ -264,7 +264,7 @@ def robust_latency_linear(net, demands, q, cfg, b_override=None, **kwargs):
     lam_max = solve_throughput(net, demands, caps).lambda_star
     target = cfg.beta * lam_max
     denom = target * demands.total()
-    return _robust_latency(net, demands, q, cfg, target, denom, caps, **kwargs)
+    return _robust_latency(net, demands, q, target, denom, caps, **kwargs)
 
 
 def worst_scenario_subgradient(context, b_current):

@@ -232,7 +232,7 @@ def robustify_latency_linear(net, demands, q, budget, cfg,
 
     def objective(x):
         caps = base_caps + x
-        report = _robust_latency(net, demands, q, cfg, target=1.0, denom=1.0,
+        report = _robust_latency(net, demands, q, target=1.0, denom=1.0,
                                  b_override=caps, keep_per_scenario=False,
                                  workers=workers, allow_large=allow_large)
         grad = worst_scenario_subgradient(report.context, caps)

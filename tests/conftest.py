@@ -113,6 +113,22 @@ def cold_throughput(net, demands, caps=None):
     return -out.objective
 
 
+def cold_latency(net, demands, target, caps=None):
+    """Minimal total delay at throughput ``target``, solved cold.
+
+    The throughput column of the explicit standard form moves to the
+    right-hand side and the flows are charged their edge delays.
+    """
+    lp = throughput_standard_form(net, demands, caps)
+    n, m = net.n_vertices, net.n_edges
+    pinned_rhs = lp.eq_rhs - target * lp.eq_matrix[:, -1]
+    cost = np.zeros(m * n + m)
+    cost[: m * n] = np.tile(net.delays, n)
+    out = solve_standard_form(StandardFormLP(cost, lp.eq_matrix[:, :-1], pinned_rhs))
+    assert out.status is Status.OPTIMAL
+    return out.objective
+
+
 # --- brute-force LP oracle -------------------------------------------------
 
 def _bfs_minimum(cost, a_mat, b_vec, tol=1e-9):

@@ -11,20 +11,51 @@ from robustflow import (
     Status,
     eval_latency,
     load_balance_from_throughput,
+    robust_throughput,
     solve_latency_linear,
     solve_throughput,
 )
 from robustflow.errors import InfeasibleSystem, SaturatedEdge, ZeroThroughput
-from robustflow.flows import VariableMap, build_throughput_tableau
-from robustflow.network import demand_laplacian, incidence_matrix
+from robustflow.flows import build_throughput_tableau
+from robustflow.network import demand_laplacian, incidence_matrix, rank_reduce
 from robustflow.simplex import primal_simplex
 
 from conftest import (
     brute_force_lp,
+    cold_latency,
     cold_throughput,
     random_corpus,
     throughput_standard_form,
 )
+
+
+def silent_sources(demands):
+    """Vertices that emit no demand."""
+    return np.flatnonzero(demands.entries.sum(axis=1) == 0)
+
+
+def silent_source_corpus(seed, count):
+    """Random corpus networks with demands between reachable pairs only.
+
+    Every vertex except vertex 0 sends demand to each vertex it can reach,
+    so the throughput is positive, several sources emit, and vertex 0 (and
+    any vertex that reaches nothing) emits none.  Instances where no vertex
+    other than 0 reaches anything are skipped.
+    """
+    corpus = []
+    for net, _ in random_corpus(seed=seed, count=count):
+        n = net.n_vertices
+        reach = np.zeros((n, n), dtype=bool)
+        for e in net.edges:
+            reach[e.tail, e.head] = True
+        for _ in range(n):
+            reach |= (reach.astype(int) @ reach.astype(int)) > 0
+        np.fill_diagonal(reach, False)
+        reach[0] = False
+        if reach.any():
+            values = 1.0 + np.add.outer(3 * np.arange(n), np.arange(n)) % 4
+            corpus.append((net, DemandMatrix(np.where(reach, values, 0.0))))
+    return corpus
 
 
 class TestBuildThroughputTableau:
@@ -56,6 +87,26 @@ class TestBuildThroughputTableau:
         with pytest.raises(InfeasibleSystem):
             build_throughput_tableau(net, demands)
 
+    def test_blocks_only_for_emitting_sources(self, net_c, demand_c):
+        # only vertex 0 emits: one block of n_red=2 rows and k=1 column
+        tableau, vm = build_throughput_tableau(net_c, demand_c)
+        assert tableau.body.shape == (2 * 1 + 3, 1 * 1 + 1)
+        assert tableau.n_original == vm.n_vars == 3 * 3 + 3 + 1
+        for s in (1, 2):
+            for e in range(3):
+                assert vm.flow_index(e, s) not in tableau.basic_vars
+                assert vm.flow_index(e, s) not in tableau.nonbasic_vars
+
+    def test_shape_counts_active_sources(self):
+        for net, demands in silent_source_corpus(seed=61, count=10):
+            tableau, _ = build_throughput_tableau(net, demands)
+            reduced = rank_reduce(incidence_matrix(net), demand_laplacian(demands))
+            n_red = reduced.reduced_incidence.shape[0]
+            k = net.n_edges - n_red
+            n_act = net.n_vertices - len(silent_sources(demands))
+            assert n_act < net.n_vertices
+            assert tableau.body.shape == (n_red * n_act + net.n_edges, k * n_act + 1)
+
     def test_starting_vertex_never_needs_phase_one(self):
         for net, demands in random_corpus(seed=31, count=10):
             tableau, _ = build_throughput_tableau(net, demands)
@@ -86,6 +137,30 @@ class TestSolveThroughput:
             assert status == "optimal"
             sol = solve_throughput(net, demands)
             assert sol.lambda_star == pytest.approx(-value, abs=1e-9)
+
+    def test_silent_sources_carry_no_flow(self, net_c, demand_c):
+        flows = solve_throughput(net_c, demand_c).flows
+        assert flows.shape == (3, 3)
+        assert (flows[:, 1:] == 0.0).all()
+        for net, demands in silent_source_corpus(seed=71, count=10):
+            sol = solve_throughput(net, demands)
+            assert (sol.flows[:, silent_sources(demands)] == 0.0).all()
+            # every emitting source's block carries its own commodity
+            np.testing.assert_allclose(
+                incidence_matrix(net) @ sol.flows,
+                -sol.lambda_star * demand_laplacian(demands), atol=1e-8,
+            )
+
+    def test_silent_sources_match_full_block_reference(self):
+        for net, demands in silent_source_corpus(seed=73, count=10):
+            lam = solve_throughput(net, demands).lambda_star
+            assert lam == pytest.approx(cold_throughput(net, demands), abs=1e-9)
+            report = robust_throughput(net, demands, 1)
+            assert len(report.per_scenario_values) == net.n_edges
+            for (e,), value in report.per_scenario_values.items():
+                caps = net.capacities.copy()
+                caps[e] = 0.0
+                assert value == pytest.approx(cold_throughput(net, demands, caps), abs=1e-9)
 
     def test_capacity_scaling(self):
         for net, demands in random_corpus(seed=41, count=6):
@@ -186,23 +261,22 @@ class TestLatencyLinear:
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
         lam = solve_throughput(net_c, demand_c).lambda_star
         warm = solve_latency_linear(net_c, demand_c, cfg, lam)
-        lp = throughput_standard_form(net_c, demand_c)
-        # pin lambda by fixing its column: move it to the rhs
         target = cfg.beta * lam
-        vm = VariableMap(net_c.n_edges, net_c.n_vertices)
-        pinned_rhs = lp.eq_rhs - target * lp.eq_matrix[:, vm.lambda_index]
-        keep = np.arange(lp.cost.size) != vm.lambda_index
-        cost = np.zeros(lp.cost.size)
-        for s in range(net_c.n_vertices):
-            cost[s * net_c.n_edges:(s + 1) * net_c.n_edges] = net_c.delays
-        from robustflow import StandardFormLP, solve_standard_form
-
-        cold = solve_standard_form(
-            StandardFormLP(cost[keep], lp.eq_matrix[:, keep], pinned_rhs)
-        )
-        assert cold.status is Status.OPTIMAL
         denom = target * demand_c.total()
-        assert warm.latency == pytest.approx(cold.objective / denom, abs=1e-9)
+        cold = cold_latency(net_c, demand_c, target)
+        assert warm.latency == pytest.approx(cold / denom, abs=1e-9)
+
+    def test_matches_cold_solve_with_silent_sources(self):
+        cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
+        for net, demands in silent_source_corpus(seed=67, count=10):
+            lam = solve_throughput(net, demands).lambda_star
+            warm = solve_latency_linear(net, demands, cfg, lam)
+            target = cfg.beta * lam
+            cold = cold_latency(net, demands, target)
+            assert warm.latency == pytest.approx(cold / (target * demands.total()), abs=1e-9)
+            assert (warm.flows[:, silent_sources(demands)] == 0.0).all()
+            np.testing.assert_allclose(incidence_matrix(net) @ warm.flows,
+                                       -target * demand_laplacian(demands), atol=1e-8)
 
 
 class TestEvalLatency:
