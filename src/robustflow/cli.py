@@ -2,7 +2,8 @@
 
 Subcommands: throughput, load-balance, latency, robust-throughput,
 robust-latency, robustify-throughput, robustify-latency, bench.  Exit codes:
-0 success, 1 infeasible or disconnected instance data, 2 usage error.
+0 success, 1 infeasible or disconnected instance data, 2 usage error, 3 a
+simplex solve stopped without an optimum (pivot cap or unexpected status).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import DataError, InputError, RobustFlowError
+from .errors import DataError, InputError, RobustFlowError, SolverError
 from .flows import (
     LatencyConfig,
     LatencyKind,
@@ -109,7 +110,7 @@ def _cmd_latency(args):
     sol = solve_throughput(doc.network, doc.demands)
     lat = solve_latency_linear(doc.network, doc.demands,
                                LatencyConfig(LatencyKind.LINEAR, cfg.beta, cfg.alpha_c),
-                               sol.lambda_star)
+                               sol)
     payload = {
         "command": "latency",
         "instance": doc.name,
@@ -147,7 +148,7 @@ def _paired_robust_throughput(doc, args):
     link are zeroed together."""
     from itertools import combinations
 
-    from .robust import EvalContext, RobustReport
+    from .robust import EvalContext, RobustReport, scenario_key
     from .simplex import Status, dual_simplex, primal_simplex, tighten_rhs
     from .flows import build_throughput_tableau
     import math as _math
@@ -160,6 +161,8 @@ def _paired_robust_throughput(doc, args):
     caps = doc.network.capacities
     tableau, _ = build_throughput_tableau(doc.network, doc.demands)
     out = primal_simplex(tableau)
+    if out.status is not Status.OPTIMAL:
+        raise SolverError(f"nominal throughput solve ended with status {out.status.value}")
     values = {}
     pivots = out.pivot_count
     best = None
@@ -171,10 +174,11 @@ def _paired_robust_throughput(doc, args):
         solved = dual_simplex(t)
         pivots += solved.pivot_count
         if solved.status is not Status.OPTIMAL:
-            raise RobustFlowError(f"paired scenario {edges} ended with {solved.status}")
+            raise SolverError(f"paired scenario {edges} solve ended with status "
+                              f"{solved.status.value}", scenario=edges)
         value = -solved.objective
         values[edges] = value
-        key = (value, edges)
+        key = scenario_key(value, edges, "min")
         if best is None or key < best[0]:
             best = (key, value, edges, solved.tableau)
     _, value, edges, tab = best
@@ -374,6 +378,9 @@ def main(argv=None):
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (RobustFlowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 ``DataError`` subtypes signal problems with the problem data (infeasible or
 disconnected instances); ``InputError`` subtypes signal malformed input files
-or arguments.  The CLI maps these to exit codes 1 and 2 respectively.
+or arguments; ``SolverError`` signals a simplex solve that stopped short of
+an optimum.  The CLI maps these to exit codes 1, 2 and 3 respectively.
 """
 
 
@@ -38,6 +39,16 @@ class DimensionMismatch(RobustFlowError):
 
 class SingularBasis(RobustFlowError):
     """The requested basis matrix is numerically singular."""
+
+
+class SolverError(RobustFlowError):
+    """A solve ended without an optimum: the pivot cap was reached or the
+    status cannot occur for that LP.  ``scenario`` holds the deleted edges
+    when the solve belonged to a failure scenario, else None."""
+
+    def __init__(self, message, scenario=None):
+        self.scenario = None if scenario is None else tuple(scenario)
+        super().__init__(message)
 
 
 # --- network / flow LPs ---------------------------------------------------

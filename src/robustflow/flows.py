@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSystem, NoIndependentColumns, SaturatedEdge, ZeroThroughput
+from .errors import (
+    InfeasibleSystem,
+    NoIndependentColumns,
+    SaturatedEdge,
+    SolverError,
+    ZeroThroughput,
+)
 from .network import (
     demand_laplacian,
     incidence_matrix,
@@ -195,7 +201,7 @@ def solve_throughput(net, demands, b_override=None, max_pivots=None):
     out = primal_simplex(tableau, max_pivots)
     if out.status is not Status.OPTIMAL:
         # finite capacities bound the throughput, so only the pivot cap remains
-        raise RuntimeError(f"throughput solve ended with status {out.status}")
+        raise SolverError(f"throughput solve ended with status {out.status.value}")
     point = out.tableau.solution_point()
     return ThroughputSolution(
         lambda_star=-out.objective,
@@ -218,41 +224,39 @@ def load_balance_from_throughput(solution):
     return 1.0 / lam, solution.flows / lam
 
 
-def pin_throughput_tableau(net, demands, target, cost_full, b_override=None,
-                           max_pivots=None):
+def pin_throughput_tableau(throughput, target, cost_full, max_pivots=None):
     """Optimal tableau of a flow LP with the throughput pinned to ``target``.
 
-    Solves the throughput LP, pins the throughput variable with two cut rows
-    (lambda <= target, then lambda >= target) re-optimized by dual simplex,
-    then swaps in ``cost_full`` and finishes with primal simplex.  Returns
-    (tableau or None, var_map, pivots); None signals that ``target`` exceeds
-    the maximal throughput, i.e. the pinned system is infeasible.
+    Starts from the optimal tableau of ``throughput`` (a ``ThroughputSolution``),
+    pins the throughput variable with two cut rows (lambda <= target, then
+    lambda >= target) re-optimized by dual simplex, then swaps in
+    ``cost_full`` and finishes with primal simplex.  Returns (tableau or
+    None, pivots); None signals that ``target`` exceeds the maximal
+    throughput, i.e. the pinned system is infeasible.  The pivots leave out
+    the throughput solve itself.
     """
-    tableau, vm = build_throughput_tableau(net, demands, b_override)
-    out = primal_simplex(tableau, max_pivots)
-    if out.status is not Status.OPTIMAL:
-        raise RuntimeError(f"throughput solve ended with status {out.status}")
-    pivots = out.pivot_count
-    if target > -out.objective + 1e-9:
-        return None, vm, pivots
+    pivots = 0
+    if target > throughput.lambda_star + 1e-9:
+        return None, pivots
+    vm = throughput.var_map
     e_lambda = np.zeros(vm.n_vars)
     e_lambda[vm.lambda_index] = 1.0
-    t = add_cut_row(out.tableau, e_lambda, target, constraint_id=LAMBDA_UPPER)
+    t = add_cut_row(throughput.tableau, e_lambda, target, constraint_id=LAMBDA_UPPER)
     out = dual_simplex(t, max_pivots)
     pivots += out.pivot_count
     if out.status is not Status.OPTIMAL:
-        return None, vm, pivots
+        return None, pivots
     t = add_cut_row(out.tableau, -e_lambda, -target, constraint_id=LAMBDA_LOWER)
     out = dual_simplex(t, max_pivots)
     pivots += out.pivot_count
     if out.status is not Status.OPTIMAL:
-        return None, vm, pivots
+        return None, pivots
     t = out.tableau
     t.set_cost(cost_full)
     out = primal_simplex(t, max_pivots)
     if out.status is not Status.OPTIMAL:
-        raise RuntimeError(f"pinned flow solve ended with status {out.status}")
-    return out.tableau, vm, pivots + out.pivot_count
+        raise SolverError(f"pinned flow solve ended with status {out.status.value}")
+    return out.tableau, pivots + out.pivot_count
 
 
 def latency_cost_vector(net, var_map):
@@ -264,24 +268,24 @@ def latency_cost_vector(net, var_map):
     return cost
 
 
-def solve_latency_linear(net, demands, cfg, lambda_max, b_override=None,
-                         max_pivots=None):
+def solve_latency_linear(net, demands, cfg, throughput, max_pivots=None):
     """Minimal normalized average latency under the linear delay model.
 
-    Routes the fraction beta * lambda_max of all demands and divides the
-    total delay by the total routed flow beta * lambda_max * sum(D).
+    ``throughput`` is the optimal ``ThroughputSolution`` of the same network
+    and demands, with lambda_max its optimal value; its tableau is the warm
+    start.  Routes the fraction beta * lambda_max of all demands and divides
+    the total delay by the total routed flow beta * lambda_max * sum(D).
     """
     if cfg.kind is not LatencyKind.LINEAR:
         raise ValueError("only the linear latency model is an LP")
+    lambda_max = throughput.lambda_star
     denom = cfg.beta * lambda_max * demands.total()
     if not denom > 0:
         raise ZeroThroughput("latency normalization requires positive throughput and demand")
     target = cfg.beta * lambda_max
-    vm = VariableMap(net.n_edges, net.n_vertices)
+    vm = throughput.var_map
     cost = latency_cost_vector(net, vm)
-    tableau, vm, pivots = pin_throughput_tableau(
-        net, demands, target, cost, b_override, max_pivots
-    )
+    tableau, pivots = pin_throughput_tableau(throughput, target, cost, max_pivots)
     if tableau is None:
         # beta <= 1 with lambda_max from the throughput LP keeps this feasible
         raise InfeasibleSystem("latency target exceeds the maximal throughput")

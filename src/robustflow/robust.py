@@ -18,14 +18,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NoTableau, ScenarioInfeasible, ScenarioLimitExceeded
+from .errors import NoTableau, ScenarioInfeasible, ScenarioLimitExceeded, SolverError
 from .flows import (
     build_throughput_tableau,
     latency_cost_vector,
     pin_throughput_tableau,
     solve_throughput,
     LatencyKind,
-    VariableMap,
 )
 from .simplex import (
     Status,
@@ -77,10 +76,21 @@ def _check_gate(m, q, allow_large, max_scenarios):
         )
 
 
+def scenario_key(value, scenario, sense):
+    """Sort key under which the worst scenario is the smallest.
+
+    The value is snapped to 0 when ``|value| <= 1e-9`` and otherwise rounded
+    to 10 significant digits, so values equal up to float noise tie and the
+    tie resolves to the lexicographically smallest scenario.
+    """
+    rounded = 0.0 if abs(value) <= 1e-9 else float(f"{value:.9e}")
+    return (rounded if sense == "min" else -rounded, scenario)
+
+
 class _TreeAccumulator:
     """Order-insensitive reduction of scenario values.
 
-    Combining by the (value, scenario) pair makes the result independent of
+    Combining by ``scenario_key`` makes the result independent of
     evaluation order: ties in value resolve to the lexicographically
     smallest scenario.
     """
@@ -98,7 +108,7 @@ class _TreeAccumulator:
         if self.values is not None:
             self.values[scenario] = value
             self.pivots[scenario] = pivots
-        key = (value, scenario) if self.sense == "min" else (-value, scenario)
+        key = scenario_key(value, scenario, self.sense)
         if self.best is None or key < self.best[0]:
             self.best = (key, value, scenario, tableau)
 
@@ -133,7 +143,8 @@ def _scenario_tree(root, caps, q, value_of, acc, infeasible, start=0,
                 infeasible.append(path + rest)
             continue
         if out.status is not Status.OPTIMAL:
-            raise RuntimeError(f"scenario {path} solve ended with status {out.status}")
+            raise SolverError(f"scenario {path} solve ended with status {out.status.value}",
+                              scenario=path)
         if len(path) == q:
             acc.record(path, value_of(out.tableau), out.tableau, out.pivot_count)
             if on_leaf is not None:
@@ -166,7 +177,8 @@ def _run_tree(root, caps, q, value_of, sense, keep_values, workers,
                 infs.append(path + rest)
             return acc, infs
         if out.status is not Status.OPTIMAL:
-            raise RuntimeError(f"scenario {path} solve ended with status {out.status}")
+            raise SolverError(f"scenario {path} solve ended with status {out.status.value}",
+                              scenario=path)
         if q == 1:
             acc.record(path, value_of(out.tableau), out.tableau, out.pivot_count)
         else:
@@ -184,6 +196,18 @@ def _run_tree(root, caps, q, value_of, sense, keep_values, workers,
     return acc, infeasible
 
 
+def _solve_cold(net, demands, caps, max_pivots, scenario=None):
+    """Cold primal solve of the throughput LP at capacities ``caps``; the
+    optimal ``SolveOutcome``, or SolverError naming ``scenario``."""
+    tableau, _ = build_throughput_tableau(net, demands, caps)
+    out = primal_simplex(tableau, max_pivots)
+    if out.status is not Status.OPTIMAL:
+        what = "nominal throughput" if scenario is None else f"cold scenario {scenario}"
+        raise SolverError(f"{what} solve ended with status {out.status.value}",
+                          scenario=scenario)
+    return out
+
+
 def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
                       workers=1, allow_large=False, max_scenarios=MAX_SCENARIOS,
                       max_pivots=None):
@@ -196,39 +220,39 @@ def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
     m = net.n_edges
     _check_gate(m, q, allow_large, max_scenarios)
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
-    tableau, _ = build_throughput_tableau(net, demands, caps)
-    out = primal_simplex(tableau, max_pivots)
-    if out.status is not Status.OPTIMAL:
-        raise RuntimeError(f"nominal throughput solve ended with status {out.status}")
+    nominal = _solve_cold(net, demands, caps, max_pivots)
 
     acc, infeasible = _run_tree(
-        out.tableau, caps, q, value_of=lambda t: -t.objective,
+        nominal.tableau, caps, q, value_of=lambda t: -t.objective,
         sense="min", keep_values=keep_per_scenario, workers=workers,
         max_pivots=max_pivots,
     )
     if infeasible:
-        raise RuntimeError("throughput scenarios cannot be infeasible")
+        raise SolverError(f"throughput scenario {infeasible[0]} solve ended with "
+                          "status infeasible", scenario=infeasible[0])
     _, value, scenario, worst_tab = acc.best
     return RobustReport(
         worst_value=value,
         worst_scenario=scenario,
         per_scenario_values=acc.values,
-        pivots_total=out.pivot_count + acc.total_pivots,
+        pivots_total=nominal.pivot_count + acc.total_pivots,
         scenarios_evaluated=acc.count,
         per_scenario_pivots=acc.pivots,
         context=EvalContext(worst_tab, scenario, caps, scale=1.0),
     )
 
 
-def _robust_latency(net, demands, q, target, denom, b_override=None,
+def _robust_latency(net, demands, q, throughput, target, denom, b_override=None,
                     keep_per_scenario=True, workers=1, allow_large=False,
                     max_scenarios=MAX_SCENARIOS, max_pivots=None):
-    m = net.n_edges
-    _check_gate(m, q, allow_large, max_scenarios)
+    """Worst-case total delay divided by ``denom`` with the throughput pinned
+    to ``target``, warm-started from ``throughput``, the optimal
+    ``ThroughputSolution`` at capacities ``b_override``.  The reported
+    pivots leave out that throughput solve."""
+    _check_gate(net.n_edges, q, allow_large, max_scenarios)
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
-    cost = latency_cost_vector(net, VariableMap(m, net.n_vertices))
-    tableau, _, pivots = pin_throughput_tableau(net, demands, target, cost,
-                                                caps, max_pivots)
+    cost = latency_cost_vector(net, throughput.var_map)
+    tableau, pivots = pin_throughput_tableau(throughput, target, cost, max_pivots)
     if tableau is None:
         raise ScenarioInfeasible([()])
 
@@ -261,10 +285,10 @@ def robust_latency_linear(net, demands, q, cfg, b_override=None, **kwargs):
     if cfg.kind is not LatencyKind.LINEAR:
         raise ValueError("robust latency is only solvable for the linear model")
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
-    lam_max = solve_throughput(net, demands, caps).lambda_star
-    target = cfg.beta * lam_max
+    throughput = solve_throughput(net, demands, caps, kwargs.get("max_pivots"))
+    target = cfg.beta * throughput.lambda_star
     denom = target * demands.total()
-    return _robust_latency(net, demands, q, target, denom, caps, **kwargs)
+    return _robust_latency(net, demands, q, throughput, target, denom, caps, **kwargs)
 
 
 def worst_scenario_subgradient(context, b_current):
@@ -301,10 +325,7 @@ def bench_robust_throughput(net, demands, q, b_override=None, allow_large=False,
     m = net.n_edges
     _check_gate(m, q, allow_large, max_scenarios)
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
-    tableau, _ = build_throughput_tableau(net, demands, caps)
-    out = primal_simplex(tableau, max_pivots)
-    if out.status is not Status.OPTIMAL:
-        raise RuntimeError(f"nominal throughput solve ended with status {out.status}")
+    nominal = _solve_cold(net, demands, caps, max_pivots)
 
     warm_rows = {}
 
@@ -312,12 +333,13 @@ def bench_robust_throughput(net, demands, q, b_override=None, allow_large=False,
         warm_rows[path] = (pivots, elapsed)
 
     acc, infeasible = _run_tree(
-        out.tableau, caps, q, value_of=lambda t: -t.objective,
+        nominal.tableau, caps, q, value_of=lambda t: -t.objective,
         sense="min", keep_values=True, workers=1, max_pivots=max_pivots,
         on_leaf=on_leaf,
     )
     if infeasible:
-        raise RuntimeError("throughput scenarios cannot be infeasible")
+        raise SolverError(f"throughput scenario {infeasible[0]} solve ended with "
+                          "status infeasible", scenario=infeasible[0])
 
     rows = []
     cold_total_pivots = 0
@@ -326,22 +348,19 @@ def bench_robust_throughput(net, demands, q, b_override=None, allow_large=False,
         scenario_caps = caps.copy()
         scenario_caps[list(scenario)] = 0.0
         began = time.perf_counter()
-        cold_tab, _ = build_throughput_tableau(net, demands, scenario_caps)
-        cold_out = primal_simplex(cold_tab, max_pivots)
+        cold = _solve_cold(net, demands, scenario_caps, max_pivots, scenario)
         cold_time = time.perf_counter() - began
-        if cold_out.status is not Status.OPTIMAL:
-            raise RuntimeError(f"cold solve of {scenario} ended with {cold_out.status}")
         warm_pivots, warm_time = warm_rows.get(scenario, (0, 0.0))
         value = acc.values[scenario]
-        if abs(value - (-cold_out.objective)) > 1e-7:
+        if abs(value - (-cold.objective)) > 1e-7:
             raise RuntimeError(f"warm/cold value mismatch on scenario {scenario}")
-        cold_total_pivots += cold_out.pivot_count
+        cold_total_pivots += cold.pivot_count
         cold_total_time += cold_time
         rows.append({
             "scenario_edges": scenario,
             "value": value,
             "warm_pivots": warm_pivots,
-            "cold_pivots": cold_out.pivot_count,
+            "cold_pivots": cold.pivot_count,
             "warm_time_s": warm_time,
             "cold_time_s": cold_time,
         })

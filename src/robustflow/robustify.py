@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import LatencyKind
+from .errors import SolverError
+from .flows import LatencyKind, solve_throughput
 from .robust import _robust_latency, robust_throughput, worst_scenario_subgradient
 from .simplex import SimplexTableau, Status, add_cut_row, dual_simplex
 
@@ -150,7 +151,7 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
         master = add_cut_row(master, cut, cut_rhs)
         out = dual_simplex(master)
         if out.status is not Status.OPTIMAL:
-            raise RuntimeError(f"master LP ended with status {out.status}")
+            raise SolverError(f"master LP ended with status {out.status.value}")
         master = out.tableau
         point = master.solution_point()
         phi = point[0] + floor
@@ -232,9 +233,10 @@ def robustify_latency_linear(net, demands, q, budget, cfg,
 
     def objective(x):
         caps = base_caps + x
-        report = _robust_latency(net, demands, q, target=1.0, denom=1.0,
-                                 b_override=caps, keep_per_scenario=False,
-                                 workers=workers, allow_large=allow_large)
+        report = _robust_latency(net, demands, q, solve_throughput(net, demands, caps),
+                                 target=1.0, denom=1.0, b_override=caps,
+                                 keep_per_scenario=False, workers=workers,
+                                 allow_large=allow_large)
         grad = worst_scenario_subgradient(report.context, caps)
         return report.worst_value, grad
 

@@ -12,6 +12,15 @@ so the current vertex (x_N = 0, x_B = rhs) has objective ``-cost_corner``.
 The tableau is primal feasible when ``rhs >= 0`` and dual feasible when
 ``cost_row >= 0``, both within ``FEAS_TOL``.
 
+Both solvers price by exact steepest edge (Forrest & Goldfarb 1992) through
+one selection helper: primal simplex enters the column maximizing
+``c_j**2 / (1 + ||body[:, j]||**2)`` and dual simplex removes the row
+maximizing ``rhs_i**2 / (1 + ||body[i, :]||**2)``, with the norms recomputed
+each iteration.  After ``NONIMPROVING_LIMIT`` consecutive pivots that leave
+the objective unchanged, both fall back to Bland's smallest-index rule until
+the objective moves, which guarantees termination on degenerate LPs.  Ratio
+tests take the minimum ratio, ties broken by the smallest variable index.
+
 Besides primal and dual simplex the module provides the two warm-start
 transformations used throughout the package: tightening the right-hand side
 of an inequality (via its slack variable) and appending a new inequality row
@@ -36,6 +45,9 @@ from .errors import (
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
+# consecutive pivots that leave the objective unchanged before both solvers
+# switch from steepest-edge pricing to Bland's rule until the objective moves
+NONIMPROVING_LIMIT = 200
 
 
 class Status(enum.Enum):
@@ -192,20 +204,50 @@ def default_max_pivots(tableau):
     return 10 * (tableau.n_rows + tableau.n_nonbasic) ** 2
 
 
+def _pivot(t, row, col, nonimproving):
+    """Pivot and return the updated count of consecutive non-improving pivots."""
+    corner = t.cost_corner
+    t.pivot(row, col)
+    return nonimproving + 1 if abs(t.cost_corner - corner) <= FEAS_TOL else 0
+
+
+def _choose(values, lines, labels, bland):
+    """Position of the pricing choice among ``values < -FEAS_TOL``, or None.
+
+    ``lines`` holds the tableau line of each candidate as a column: ``body``
+    for the primal entering column, ``body.T`` for the dual leaving row.
+    Steepest edge takes the argmax of ``values**2 / (1 + ||line||**2)``, with
+    the norms recomputed exactly over the whole array; ``bland`` takes the
+    candidate with the smallest variable index in ``labels`` instead.
+    """
+    eligible = values < -FEAS_TOL
+    if not eligible.any():
+        return None
+    if bland:
+        return int(np.flatnonzero(eligible)[np.argmin(labels[eligible])])
+    norms = np.einsum("ij,ij->j", lines, lines)
+    return int(np.argmax(np.where(eligible, values * values / (1.0 + norms), -1.0)))
+
+
 def primal_simplex(tableau, max_pivots=None):
-    """Run primal simplex (Bland's rule) on a primal-feasible tableau."""
+    """Run primal simplex on a primal-feasible tableau.
+
+    The entering column is priced by steepest edge, falling back to Bland's
+    smallest index after ``NONIMPROVING_LIMIT`` consecutive pivots that
+    leave the objective unchanged.  The ratio test takes the minimum ratio
+    with ties broken by the smallest variable index.
+    """
     t = tableau.copy()
     if not t.is_primal_feasible():
         raise NotPrimalFeasible(f"rhs has negative entries: min={t.rhs.min()}")
     if max_pivots is None:
         max_pivots = default_max_pivots(t)
-    pivots = 0
+    pivots = nonimproving = 0
     while True:
-        eligible = np.nonzero(t.cost_row < -FEAS_TOL)[0]
-        if eligible.size == 0:
+        col = _choose(t.cost_row, t.body, t.nonbasic_vars,
+                      nonimproving >= NONIMPROVING_LIMIT)
+        if col is None:
             return SolveOutcome(Status.OPTIMAL, t, t.objective, pivots)
-        # Bland: enter the eligible variable with the smallest global index
-        col = int(eligible[np.argmin(t.nonbasic_vars[eligible])])
         column = t.body[:, col]
         rows = np.nonzero(column > PIVOT_TOL)[0]
         if rows.size == 0:
@@ -216,30 +258,31 @@ def primal_simplex(tableau, max_pivots=None):
         row = int(ties[np.argmin(t.basic_vars[ties])])
         if pivots >= max_pivots:
             return SolveOutcome(Status.ITERATION_LIMIT, t, t.objective, pivots)
-        t.pivot(row, col)
+        nonimproving = _pivot(t, row, col, nonimproving)
         pivots += 1
 
 
 def dual_simplex(tableau, max_pivots=None):
     """Run dual simplex on a dual-feasible tableau.
 
-    Row selection takes the most negative rhs entry; the entering column is
-    chosen by the dual ratio test with Bland tie-breaking on the variable
-    index.  On INFEASIBLE the returned tableau contains a certificate row
-    (negative rhs, all coefficients >= 0).
+    The leaving row is priced by steepest edge over the rows with negative
+    rhs, falling back to Bland's smallest basic index after
+    ``NONIMPROVING_LIMIT`` consecutive pivots that leave the objective
+    unchanged.  The entering column is chosen by the dual ratio test with
+    ties broken by the smallest variable index.  On INFEASIBLE the returned
+    tableau contains a certificate row (negative rhs, all coefficients >= 0).
     """
     t = tableau.copy()
     if not t.is_dual_feasible():
         raise NotDualFeasible(f"cost row has negative entries: min={t.cost_row.min()}")
     if max_pivots is None:
         max_pivots = default_max_pivots(t)
-    pivots = 0
+    pivots = nonimproving = 0
     while True:
-        worst = t.rhs.min()
-        if worst >= -FEAS_TOL:
+        row = _choose(t.rhs, t.body.T, t.basic_vars,
+                      nonimproving >= NONIMPROVING_LIMIT)
+        if row is None:
             return SolveOutcome(Status.OPTIMAL, t, t.objective, pivots)
-        cand = np.nonzero(t.rhs <= worst + FEAS_TOL)[0]
-        row = int(cand[np.argmin(t.basic_vars[cand])])
         neg = np.nonzero(t.body[row] < -PIVOT_TOL)[0]
         if neg.size == 0:
             return SolveOutcome(Status.INFEASIBLE, t, t.objective, pivots)
@@ -249,7 +292,7 @@ def dual_simplex(tableau, max_pivots=None):
         col = int(ties[np.argmin(t.nonbasic_vars[ties])])
         if pivots >= max_pivots:
             return SolveOutcome(Status.ITERATION_LIMIT, t, t.objective, pivots)
-        t.pivot(row, col)
+        nonimproving = _pivot(t, row, col, nonimproving)
         pivots += 1
 
 

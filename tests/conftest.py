@@ -72,6 +72,30 @@ def random_corpus(seed=20240817, count=20, n_max=6, m_max=9):
     return [random_network(rng, n_max, m_max) for _ in range(count)]
 
 
+def ring_chords_instance(n, seed):
+    """Ring of n vertices (n even) plus n/2 chords forming a perfect matching
+    that avoids ring neighbours, so every vertex has degree 3.  Each link is
+    two opposite directed edges with the same integer capacity in [20, 40]
+    and delay in [1, 3]; n distinct demand pairs carry integers in [1, 10].
+    The integer data is degenerate on purpose, like real SNDlib data."""
+    rng = np.random.default_rng(seed)
+    while True:
+        order = rng.permutation(n)
+        chords = [tuple(sorted(int(v) for v in order[i:i + 2])) for i in range(0, n, 2)]
+        if all((b - a) not in (1, n - 1) for a, b in chords):
+            break
+    edges = []
+    for u, v in [(i, (i + 1) % n) for i in range(n)] + sorted(chords):
+        cap, delay = float(rng.integers(20, 41)), float(rng.integers(1, 4))
+        edges += [(u, v, cap, delay), (v, u, cap, delay)]
+    entries = np.zeros((n, n))
+    while np.count_nonzero(entries) < n:
+        s, t = (int(v) for v in rng.integers(0, n, size=2))
+        if s != t and entries[s, t] == 0:
+            entries[s, t] = float(rng.integers(1, 11))
+    return Network(n, edges), DemandMatrix(entries)
+
+
 # --- independent standard-form construction of the throughput LP ----------
 
 def throughput_standard_form(net, demands, caps=None):

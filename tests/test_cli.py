@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from robustflow import simplex
 from robustflow.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -234,6 +235,15 @@ class TestExitCodes:
         path.write_text("{}")
         code, _, _ = run(capsys, "throughput", "--network", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["throughput", "robust-throughput",
+                                         "robust-latency", "bench"])
+    def test_pivot_cap_is_exit_three(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(simplex, "default_max_pivots", lambda tableau: 0)
+        code, out, err = run(capsys, command, "--network", str(DATA / "ring6.txt"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "iteration_limit" in err
 
     def test_sndlib_autodetected_by_extension(self, capsys):
         code, out, _ = run(capsys, "throughput", "--network",

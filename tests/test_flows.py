@@ -221,46 +221,48 @@ class TestLoadBalance:
 class TestLatencyLinear:
     def test_net_b_single_path(self, net_b, demand_ab):
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
-        lam = solve_throughput(net_b, demand_ab).lambda_star
-        sol = solve_latency_linear(net_b, demand_ab, cfg, lam)
+        thr = solve_throughput(net_b, demand_ab)
+        sol = solve_latency_linear(net_b, demand_ab, cfg, thr)
         assert sol.latency == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_delays_give_zero_latency(self, net_a, demand_ab):
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
-        lam = solve_throughput(net_a, demand_ab).lambda_star
-        sol = solve_latency_linear(net_a, demand_ab, cfg, lam)
+        thr = solve_throughput(net_a, demand_ab)
+        sol = solve_latency_linear(net_a, demand_ab, cfg, thr)
         assert sol.latency == pytest.approx(0.0, abs=1e-12)
 
     def test_net_c_splits_over_paths(self, net_c, demand_c):
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
-        lam = solve_throughput(net_c, demand_c).lambda_star
-        sol = solve_latency_linear(net_c, demand_c, cfg, lam)
+        thr = solve_throughput(net_c, demand_c)
+        sol = solve_latency_linear(net_c, demand_c, cfg, thr)
         assert sol.latency == pytest.approx(17.0 / 1.8, abs=1e-9)
 
     def test_flows_route_the_pinned_fraction(self, net_c, demand_c):
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
-        lam = solve_throughput(net_c, demand_c).lambda_star
-        sol = solve_latency_linear(net_c, demand_c, cfg, lam)
+        thr = solve_throughput(net_c, demand_c)
+        lam = thr.lambda_star
+        sol = solve_latency_linear(net_c, demand_c, cfg, thr)
         balance = incidence_matrix(net_c) @ sol.flows
         expected = -cfg.beta * lam * demand_laplacian(demand_c)
         np.testing.assert_allclose(balance, expected, atol=1e-8)
 
     def test_beta_one_stays_feasible(self, net_a, demand_ab):
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=1.0)
-        lam = solve_throughput(net_a, demand_ab).lambda_star
-        sol = solve_latency_linear(net_a, demand_ab, cfg, lam)
+        thr = solve_throughput(net_a, demand_ab)
+        sol = solve_latency_linear(net_a, demand_ab, cfg, thr)
         assert sol.latency >= -1e-12
 
     def test_rejects_nonlinear_kind(self, net_b, demand_ab):
         cfg = LatencyConfig(LatencyKind.INVERSE)
         with pytest.raises(ValueError):
-            solve_latency_linear(net_b, demand_ab, cfg, 0.75)
+            solve_latency_linear(net_b, demand_ab, cfg, solve_throughput(net_b, demand_ab))
 
     def test_matches_cold_solve_value(self, net_c, demand_c):
         # cross-check the pinned warm path against an independent LP solve
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
-        lam = solve_throughput(net_c, demand_c).lambda_star
-        warm = solve_latency_linear(net_c, demand_c, cfg, lam)
+        thr = solve_throughput(net_c, demand_c)
+        lam = thr.lambda_star
+        warm = solve_latency_linear(net_c, demand_c, cfg, thr)
         target = cfg.beta * lam
         denom = target * demand_c.total()
         cold = cold_latency(net_c, demand_c, target)
@@ -269,8 +271,9 @@ class TestLatencyLinear:
     def test_matches_cold_solve_with_silent_sources(self):
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.9)
         for net, demands in silent_source_corpus(seed=67, count=10):
-            lam = solve_throughput(net, demands).lambda_star
-            warm = solve_latency_linear(net, demands, cfg, lam)
+            thr = solve_throughput(net, demands)
+            lam = thr.lambda_star
+            warm = solve_latency_linear(net, demands, cfg, thr)
             target = cfg.beta * lam
             cold = cold_latency(net, demands, target)
             assert warm.latency == pytest.approx(cold / (target * demands.total()), abs=1e-9)

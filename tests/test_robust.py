@@ -13,10 +13,11 @@ from robustflow import (
     solve_throughput,
     worst_scenario_subgradient,
 )
-from robustflow.errors import ScenarioInfeasible, ScenarioLimitExceeded
-from robustflow.robust import bench_robust_throughput
+from robustflow import robust, simplex
+from robustflow.errors import ScenarioInfeasible, ScenarioLimitExceeded, SolverError
+from robustflow.robust import _TreeAccumulator, bench_robust_throughput
 
-from conftest import cold_throughput
+from conftest import cold_throughput, ring_chords_instance
 
 
 class TestEnumerateScenarios:
@@ -110,8 +111,8 @@ class TestRobustLatency:
     def test_q_zero_equals_nominal(self):
         net, demands = self.wide_triangle()
         cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.3)
-        lam = solve_throughput(net, demands).lambda_star
-        nominal = solve_latency_linear(net, demands, cfg, lam).latency
+        thr = solve_throughput(net, demands)
+        nominal = solve_latency_linear(net, demands, cfg, thr).latency
         report = robust_latency_linear(net, demands, 0, cfg)
         assert report.worst_value == pytest.approx(nominal, abs=1e-9)
 
@@ -185,3 +186,63 @@ class TestBench:
         assert totals["warm_pivots"] == sum(
             report.per_scenario_pivots.values()
         )
+
+
+class TestWarmStartPivots:
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_scenario_warm_exceeds_cold(self, n, seed):
+        net, demands = ring_chords_instance(n, seed)
+        rows, _ = bench_robust_throughput(net, demands, 1)
+        worse = [(r["scenario_edges"], r["warm_pivots"], r["cold_pivots"])
+                 for r in rows if r["warm_pivots"] > r["cold_pivots"]]
+        assert not worse
+
+
+class TestWorstScenarioTies:
+    def best_of(self, sense, records):
+        acc = _TreeAccumulator(sense, keep_values=False)
+        for scenario, value in records:
+            acc.record(scenario, value, None, 0)
+        return acc.best[2]
+
+    def test_float_noise_around_zero_ties(self):
+        records = [((1, 8), -1.76e-16), ((0, 9), 1.6e-15)]
+        assert self.best_of("min", records) == (0, 9)
+        assert self.best_of("min", records[::-1]) == (0, 9)
+
+    def test_equal_to_ten_digits_ties(self):
+        records = [((15, 18), 2.5 * (1 + 1e-13)), ((4, 15), 2.5)]
+        assert self.best_of("max", records) == (4, 15)
+        assert self.best_of("min", records) == (4, 15)
+
+    def test_distinct_values_still_decide(self):
+        records = [((0,), 1.0), ((1,), 1.0 - 1e-8)]
+        assert self.best_of("min", records) == (1,)
+        assert self.best_of("max", records) == (0,)
+
+    def test_equal_scenarios_report_the_smaller(self):
+        net = Network(2, [(0, 1, 3.0, 1.0), (0, 1, 3.0, 1.0), (0, 1, 2.0, 1.0)])
+        demands = DemandMatrix([[0.0, 1.0], [0.0, 0.0]])
+        report = robust_throughput(net, demands, 1)
+        assert report.per_scenario_values[(0,)] == pytest.approx(
+            report.per_scenario_values[(1,)], abs=1e-12)
+        assert report.worst_scenario == (0,)
+
+
+class TestSolverError:
+    def test_pivot_cap_on_nominal_solve(self, net_c, demand_c):
+        with pytest.raises(SolverError) as info:
+            solve_throughput(net_c, demand_c, max_pivots=0)
+        assert info.value.scenario is None
+        assert "iteration_limit" in str(info.value)
+
+    def test_pivot_cap_names_the_scenario(self, net_c, demand_c, monkeypatch):
+        def capped(tableau, max_pivots=None):
+            return simplex.dual_simplex(tableau, max_pivots=0)
+
+        monkeypatch.setattr(robust, "dual_simplex", capped)
+        with pytest.raises(SolverError) as info:
+            robust_throughput(net_c, demand_c, 1)
+        assert info.value.scenario in {(0,), (1,), (2,)}
+        assert str(info.value.scenario) in str(info.value)

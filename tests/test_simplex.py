@@ -21,10 +21,16 @@ from robustflow.errors import (
     SingularBasis,
     UnknownConstraint,
 )
+from robustflow import robust_throughput, simplex, solve_throughput
 from robustflow.flows import build_throughput_tableau
 from robustflow.simplex import tableau_from_basis
 
-from conftest import brute_force_lp, random_standard_form
+from conftest import (
+    brute_force_lp,
+    random_corpus,
+    random_standard_form,
+    ring_chords_instance,
+)
 
 
 def single_row_tableau(coeff, rhs, cost, constraint_id=None):
@@ -312,3 +318,60 @@ class TestWarmStartEquivalence:
             cold = solve_standard_form(cold_lp)
             assert cold.status is Status.OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def beale_tableau():
+    """Beale's (1955) LP, on which simplex with a poor tie rule cycles:
+    min -3/4 x3 + 150 x4 - 1/50 x5 + 6 x6 with the slacks x0, x1, x2 basic
+    at a degenerate vertex.  The optimum is -1/20 at x3 = 1/25, x5 = 1."""
+    return SimplexTableau(
+        basic_vars=[0, 1, 2], nonbasic_vars=[3, 4, 5, 6],
+        body=[[0.25, -60.0, -0.04, 9.0],
+              [0.5, -90.0, -0.02, 3.0],
+              [0.0, 0.0, 1.0, 0.0]],
+        rhs=[0.0, 0.0, 1.0], cost_row=[-0.75, 150.0, -0.02, 6.0],
+    )
+
+
+class TestPricing:
+    @pytest.mark.parametrize("limit", [0, 1, simplex.NONIMPROVING_LIMIT])
+    def test_beale_terminates_at_optimum(self, monkeypatch, limit):
+        monkeypatch.setattr(simplex, "NONIMPROVING_LIMIT", limit)
+        out = primal_simplex(beale_tableau())
+        assert out.status is Status.OPTIMAL
+        assert out.objective == pytest.approx(-0.05, abs=1e-12)
+        point = out.tableau.solution_point()
+        np.testing.assert_allclose(point[[3, 5]], [0.04, 1.0], atol=1e-12)
+
+    def test_forced_fallback_gives_same_optima(self, monkeypatch):
+        # limit 0 prices every pivot by Bland's rule in both solvers; the
+        # ring instance is large enough for the two rules to pivot differently
+        corpus = random_corpus(count=12) + [ring_chords_instance(8, 1)]
+
+        def solve_all():
+            values, pivots = [], 0
+            for net, demands in corpus:
+                sol = solve_throughput(net, demands)
+                report = robust_throughput(net, demands, 1)
+                values.append(sol.lambda_star)
+                values.extend(report.per_scenario_values[s]
+                              for s in sorted(report.per_scenario_values))
+                pivots += report.pivots_total
+            return np.array(values), pivots
+
+        priced, priced_pivots = solve_all()
+        monkeypatch.setattr(simplex, "NONIMPROVING_LIMIT", 0)
+        bland, bland_pivots = solve_all()
+        np.testing.assert_allclose(bland, priced, rtol=0, atol=1e-9)
+        assert bland_pivots != priced_pivots  # the fallback was really taken
+
+    def test_forced_fallback_matches_brute_force(self, monkeypatch):
+        monkeypatch.setattr(simplex, "NONIMPROVING_LIMIT", 0)
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            lp = random_standard_form(rng)
+            status, value = brute_force_lp(lp)
+            out = solve_standard_form(lp)
+            assert out.status.value == status
+            if status == "optimal":
+                assert out.objective == pytest.approx(value, abs=1e-7)
