@@ -8,7 +8,6 @@ from .network import (
     DemandMatrix,
     Edge,
     Network,
-    demand_edge_connectivity,
     demand_laplacian,
     incidence_matrix,
     rank_reduce,
@@ -16,13 +15,11 @@ from .network import (
 from .simplex import (
     SimplexTableau,
     SolveOutcome,
-    StandardFormLP,
     Status,
     add_cut_row,
     dual_simplex,
     primal_simplex,
     rhs_sensitivity,
-    solve_standard_form,
     tighten_rhs,
 )
 from .flows import (
@@ -71,12 +68,10 @@ __all__ = [
     "RobustReport",
     "SimplexTableau",
     "SolveOutcome",
-    "StandardFormLP",
     "Status",
     "ThroughputSolution",
     "add_cut_row",
     "build_throughput_tableau",
-    "demand_edge_connectivity",
     "demand_laplacian",
     "dual_simplex",
     "enumerate_scenarios",
@@ -97,7 +92,6 @@ __all__ = [
     "serialize_instance",
     "serialize_report",
     "solve_latency_linear",
-    "solve_standard_form",
     "solve_throughput",
     "tighten_rhs",
     "worst_scenario_subgradient",

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, robust
 from .errors import DataError, InputError, RobustFlowError, SolverError
 from .flows import (
     LatencyConfig,
@@ -128,68 +128,40 @@ def _cmd_latency(args):
     return 0
 
 
+def _tree_options(doc, args):
+    """Scenario-tree keyword arguments of a robust subcommand: the failure
+    groups (SNDlib link pairs under --paired-failure, else single edges),
+    the gate and, where registered, the worker count."""
+    groups = None
+    if args.paired_failure:
+        if not doc.link_pairs:
+            raise InputError("--paired-failure requires an SNDlib instance")
+        groups = doc.link_pairs
+    options = {"groups": groups, "allow_large": args.allow_large,
+               "max_scenarios": _max_scenarios()}
+    if "workers" in args:
+        options["workers"] = args.workers
+    return options
+
+
 def _cmd_robust_throughput(args):
     doc = _load_instance(args)
     if args.paired_failure:
         report = _paired_robust_throughput(doc, args)
     else:
-        report = robust_throughput(
-            doc.network, doc.demands, args.q,
-            workers=args.workers,
-            allow_large=args.allow_large,
-            max_scenarios=_max_scenarios(),
-        )
+        report = robust_throughput(doc.network, doc.demands, args.q,
+                                   **_tree_options(doc, args))
     sys.stdout.write(serialize_report(report, args.output))
     return 0
 
 
 def _paired_robust_throughput(doc, args):
-    """Exhaustive paired-failure evaluation: both directions of each chosen
-    link are zeroed together."""
-    from itertools import combinations
-
-    from .robust import EvalContext, RobustReport, scenario_key
-    from .simplex import Status, dual_simplex, primal_simplex, tighten_rhs
-    from .flows import build_throughput_tableau
-    import math as _math
-
-    pairs = doc.link_pairs
-    if not pairs:
-        raise InputError("--paired-failure requires an SNDlib instance")
-    if _math.comb(len(pairs), args.q) > _max_scenarios() and not args.allow_large:
-        raise InputError("scenario count exceeds the enumeration gate")
-    caps = doc.network.capacities
-    tableau, _ = build_throughput_tableau(doc.network, doc.demands)
-    out = primal_simplex(tableau)
-    if out.status is not Status.OPTIMAL:
-        raise SolverError(f"nominal throughput solve ended with status {out.status.value}")
-    values = {}
-    pivots = out.pivot_count
-    best = None
-    for chosen in combinations(range(len(pairs)), args.q):
-        t = out.tableau
-        edges = tuple(sorted(e for link in chosen for e in pairs[link]))
-        for e in edges:
-            t = tighten_rhs(t, e, caps[e])
-        solved = dual_simplex(t)
-        pivots += solved.pivot_count
-        if solved.status is not Status.OPTIMAL:
-            raise SolverError(f"paired scenario {edges} solve ended with status "
-                              f"{solved.status.value}", scenario=edges)
-        value = -solved.objective
-        values[edges] = value
-        key = scenario_key(value, edges, "min")
-        if best is None or key < best[0]:
-            best = (key, value, edges, solved.tableau)
-    _, value, edges, tab = best
-    return RobustReport(
-        worst_value=value,
-        worst_scenario=edges,
-        per_scenario_values=values,
-        pivots_total=pivots,
-        scenarios_evaluated=len(values),
-        context=EvalContext(tab, edges, caps),
-    )
+    """Robust throughput where both directions of each chosen SNDlib link
+    fail together."""
+    # through the module, so that a wrapper around cli.robust_throughput
+    # (perfbench/tracer.py) sees one evaluation per command
+    return robust.robust_throughput(doc.network, doc.demands, args.q,
+                                    **_tree_options(doc, args))
 
 
 def _cmd_robust_latency(args):
@@ -197,30 +169,25 @@ def _cmd_robust_latency(args):
     cfg = _latency_config(args)
     if cfg.kind is not LatencyKind.LINEAR:
         raise InputError("robust latency optimization supports only the linear model")
-    report = robust_latency_linear(
-        doc.network, doc.demands, args.q, cfg,
-        workers=args.workers,
-        allow_large=args.allow_large,
-        max_scenarios=_max_scenarios(),
-    )
+    report = robust_latency_linear(doc.network, doc.demands, args.q, cfg,
+                                   **_tree_options(doc, args))
     sys.stdout.write(serialize_report(report, args.output))
     return 0
 
 
 def _cmd_robustify_throughput(args):
     doc = _load_instance(args)
+    tree = _tree_options(doc, args)
     if args.method == "cutting-plane":
         alloc, model, history = robustify_throughput_cutting_plane(
             doc.network, doc.demands, args.q, args.budget,
-            tol=args.tol, max_iters=args.max_iters,
-            allow_large=args.allow_large, workers=args.workers,
+            tol=args.tol, max_iters=args.max_iters, **tree,
         )
         iterations = len(model.cuts)
     else:
         alloc, history = robustify_throughput_subgradient(
             doc.network, doc.demands, args.q, args.budget,
-            steps=args.max_iters, allow_large=args.allow_large,
-            workers=args.workers,
+            steps=args.max_iters, **tree,
         )
         iterations = len(history)
     _emit({
@@ -242,8 +209,7 @@ def _cmd_robustify_latency(args):
     alloc, history = robustify_latency_linear(
         doc.network, doc.demands, args.q, args.budget, cfg,
         method=args.method, steps=args.max_iters, tol=args.tol,
-        max_iters=args.max_iters, allow_large=args.allow_large,
-        workers=args.workers,
+        max_iters=args.max_iters, **_tree_options(doc, args),
     )
     _emit({
         "command": "robustify-latency",
@@ -259,10 +225,8 @@ def _cmd_robustify_latency(args):
 
 def _cmd_bench(args):
     doc = _load_instance(args)
-    rows, totals = bench_robust_throughput(
-        doc.network, doc.demands, args.q,
-        allow_large=args.allow_large, max_scenarios=_max_scenarios(),
-    )
+    rows, totals = bench_robust_throughput(doc.network, doc.demands, args.q,
+                                           **_tree_options(doc, args))
     sys.stdout.write(serialize_bench(rows, totals))
     return 0
 
@@ -273,13 +237,16 @@ def _add_common(parser):
                         default="auto", help="input format (default: by extension)")
 
 
-def _add_robust(parser):
-    parser.add_argument("--q", type=int, default=1, help="number of deleted edges")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel scenario workers (output is identical for any value)")
+def _add_robust(parser, workers=True, output=False):
+    parser.add_argument("--q", type=int, default=1,
+                        help="number of deleted edges (links under --paired-failure)")
+    if workers:
+        parser.add_argument("--workers", type=int, default=1,
+                            help="parallel scenario workers (output is identical for any value)")
     parser.add_argument("--allow-large", action="store_true",
                         help="override the scenario enumeration gate")
-    parser.add_argument("--output", choices=["json", "csv"], default="json")
+    if output:
+        parser.add_argument("--output", choices=["json", "csv"], default="json")
     parser.add_argument("--paired-failure", action="store_true",
                         help="delete both directions of each SNDlib link together")
 
@@ -325,12 +292,12 @@ def build_parser():
 
     p = sub.add_parser("robust-throughput", help="worst-case throughput under q deletions")
     _add_common(p)
-    _add_robust(p)
+    _add_robust(p, output=True)
     p.set_defaults(func=_cmd_robust_throughput)
 
     p = sub.add_parser("robust-latency", help="worst-case latency under q deletions")
     _add_common(p)
-    _add_robust(p)
+    _add_robust(p, output=True)
     _add_latency_opts(p)
     p.set_defaults(func=_cmd_robust_latency)
 
@@ -349,7 +316,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="warm-start vs cold-solve pivot counts")
     _add_common(p)
-    _add_robust(p)
+    _add_robust(p, workers=False)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -32,6 +32,7 @@ from .network import (
     rank_reduce,
 )
 from .simplex import (
+    FEAS_TOL,
     SimplexTableau,
     Status,
     add_cut_row,
@@ -289,10 +290,12 @@ def solve_latency_linear(net, demands, cfg, throughput, max_pivots=None):
     if tableau is None:
         # beta <= 1 with lambda_max from the throughput LP keeps this feasible
         raise InfeasibleSystem("latency target exceeds the maximal throughput")
-    point = tableau.solution_point()
+    point = tableau.solution_point()[: vm.n_vars]
+    # pivoting leaves float noise such as -2.7e-14 on flows that are zero
+    point[np.abs(point) <= FEAS_TOL] = 0.0
     return LatencySolution(
         latency=tableau.objective / denom,
-        flows=vm.flow_matrix(point[: vm.n_vars]),
+        flows=vm.flow_matrix(point),
         tableau=tableau,
         var_map=vm,
         pivot_count=pivots,

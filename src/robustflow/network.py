@@ -1,13 +1,11 @@
-"""Directed multigraph model, incidence matrix, demand Laplacian, rank
-reduction of the balance equations, and connectivity diagnostics."""
+"""Directed multigraph model, incidence matrix, demand Laplacian, and rank
+reduction of the balance equations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NoDemand
 
 RANK_TOL = 1e-9
 
@@ -161,27 +159,3 @@ def rank_reduce(incidence, laplacian):
 def independent_columns(mat, tol=RANK_TOL):
     """Lowest-index maximal set of linearly independent columns."""
     return _greedy_independent_rows(np.asarray(mat, dtype=float).T, tol)
-
-
-def demand_edge_connectivity(net, demands):
-    """Minimum number of edge deletions disconnecting some demand pair.
-
-    Unit capacities are used (whole edges are deleted regardless of their
-    capacity); parallel edges each count once.
-    """
-    import networkx as nx  # deferred: only this diagnostic needs it
-
-    if demands.is_zero:
-        raise NoDemand("demand matrix is all zeros")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(net.n_vertices))
-    for e in net.edges:
-        if graph.has_edge(e.tail, e.head):
-            graph[e.tail][e.head]["capacity"] += 1
-        else:
-            graph.add_edge(e.tail, e.head, capacity=1)
-    best = None
-    for s, t, _ in demands.pairs():
-        value = nx.maximum_flow_value(graph, s, t)
-        best = value if best is None else min(best, value)
-    return int(round(best))

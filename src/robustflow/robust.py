@@ -1,11 +1,16 @@
 """Worst-case throughput and latency over edge-failure scenarios.
 
-Scenarios of exactly q deleted edges are enumerated as a depth-first tree in
-lexicographic order.  Each tree node deletes one more edge than its parent by
-tightening that edge's capacity slack to zero and re-optimizing with the
-dual simplex method, so every child solve is warm-started from its parent's
-optimal basis.  Throughput is monotone in capacities, so the worst case over
-at-most-q failures is attained by an exactly-q scenario.
+A scenario deletes q failure groups: disjoint tuples of edges that fail
+together, single edges ``(e,)`` by default or both directions of each SNDlib
+link.  ``_scenario_tree`` is the one enumerator.  It walks the q-subsets of
+the groups as a depth-first tree in lexicographic order; each tree node
+deletes one more group than its parent by tightening its edges' capacity
+slacks to zero and re-optimizing with the dual simplex method, so every
+child solve is warm-started from its parent's optimal basis.  A scenario is
+reported as the sorted tuple of its deleted edges.  With several workers the
+first-level subtrees run on threads; the result does not depend on how many.
+Throughput is monotone in capacities, so the worst case over at-most-q
+failures is attained by an exactly-q scenario.
 """
 
 from __future__ import annotations
@@ -65,15 +70,20 @@ def enumerate_scenarios(m, q):
     return combinations(range(m), q)
 
 
-def _check_gate(m, q, allow_large, max_scenarios):
-    if not (0 <= q <= m):
-        raise ValueError(f"q must lie in [0, {m}]")
-    count = math.comb(m, q)
+def _check_gate(m, groups, q, allow_large, max_scenarios):
+    """The failure groups, singletons ``(e,)`` of the m edges when ``groups``
+    is None, once q and the scenario count C(len(groups), q) pass the gate."""
+    groups = tuple((e,) for e in range(m)) if groups is None else tuple(map(tuple, groups))
+    g = len(groups)
+    if not (0 <= q <= g):
+        raise ValueError(f"q must lie in [0, {g}]")
+    count = math.comb(g, q)
     if count > max_scenarios and not allow_large:
         raise ScenarioLimitExceeded(
-            f"C({m},{q}) = {count} scenarios exceeds the gate of {max_scenarios}; "
+            f"C({g},{q}) = {count} scenarios exceeds the gate of {max_scenarios}; "
             "pass the override to proceed"
         )
+    return groups
 
 
 def scenario_key(value, scenario, sense):
@@ -121,79 +131,84 @@ class _TreeAccumulator:
         if other.best is not None and (self.best is None or other.best[0] < self.best[0]):
             self.best = other.best
 
+    def report(self, pivots, caps, scale):
+        """Report of the recorded scenarios; ``pivots`` were spent before the
+        tree, whose root LP was built at capacities ``caps``."""
+        _, value, scenario, tableau = self.best
+        return RobustReport(
+            worst_value=value,
+            worst_scenario=scenario,
+            per_scenario_values=self.values,
+            pivots_total=pivots + self.total_pivots,
+            scenarios_evaluated=self.count,
+            per_scenario_pivots=self.pivots,
+            context=EvalContext(tableau, scenario, caps, scale=scale),
+        )
 
-def _scenario_tree(root, caps, q, value_of, acc, infeasible, start=0,
-                   deleted=(), max_pivots=None, on_leaf=None):
-    """Depth-first warm-started enumeration below one tree node."""
-    if len(deleted) == q:
+
+def _scenario_tree(root, caps, groups, q, value_of, acc, infeasible, start=0,
+                   stop=None, deleted=(), max_pivots=None, on_leaf=None):
+    """Depth-first warm-started enumeration below one tree node.
+
+    ``root`` is optimal with the edges ``deleted`` removed.  The walk deletes
+    q more groups from ``groups[start:]``, the first of them below ``stop``
+    (None: any).  A node tightens every edge of its group, then runs one dual
+    solve; scenarios are recorded as sorted edge tuples.
+    """
+    if q == 0:
         acc.record(deleted, value_of(root), root, 0)
         return
-    m = caps.size
-    remaining = q - len(deleted)
-    for e in range(start, m - remaining + 1):
-        child = tighten_rhs(root, e, caps[e])
+    last = len(groups) - q + 1
+    for g in range(start, last if stop is None else min(stop, last)):
+        child = root
+        for e in groups[g]:
+            child = tighten_rhs(child, e, caps[e])
         began = time.perf_counter()
         out = dual_simplex(child, max_pivots)
         elapsed = time.perf_counter() - began
         acc.total_pivots += out.pivot_count
-        path = deleted + (e,)
+        path = tuple(sorted(deleted + groups[g]))
         if out.status is Status.INFEASIBLE:
             # every completion of this path only tightens further
-            for rest in combinations(range(e + 1, m), remaining - 1):
-                infeasible.append(path + rest)
+            for rest in combinations(groups[g + 1:], q - 1):
+                infeasible.append(tuple(sorted(path + sum(rest, ()))))
             continue
-        if out.status is not Status.OPTIMAL:
-            raise SolverError(f"scenario {path} solve ended with status {out.status.value}",
-                              scenario=path)
-        if len(path) == q:
-            acc.record(path, value_of(out.tableau), out.tableau, out.pivot_count)
-            if on_leaf is not None:
-                on_leaf(path, out.pivot_count, elapsed)
-        else:
-            _scenario_tree(out.tableau, caps, q, value_of, acc, infeasible,
-                           e + 1, path, max_pivots, on_leaf)
-
-
-def _run_tree(root, caps, q, value_of, sense, keep_values, workers,
-              max_pivots=None, on_leaf=None):
-    infeasible = []
-    if q == 0 or workers <= 1:
-        acc = _TreeAccumulator(sense, keep_values)
-        _scenario_tree(root, caps, q, value_of, acc, infeasible,
-                       max_pivots=max_pivots, on_leaf=on_leaf)
-        return acc, infeasible
-    m = caps.size
-
-    # split on the first deleted edge; each worker owns private tableau copies
-    def branch_only(first):
-        acc = _TreeAccumulator(sense, keep_values)
-        infs = []
-        child = tighten_rhs(root, first, caps[first])
-        out = dual_simplex(child, max_pivots)
-        acc.total_pivots += out.pivot_count
-        path = (first,)
-        if out.status is Status.INFEASIBLE:
-            for rest in combinations(range(first + 1, m), q - 1):
-                infs.append(path + rest)
-            return acc, infs
         if out.status is not Status.OPTIMAL:
             raise SolverError(f"scenario {path} solve ended with status {out.status.value}",
                               scenario=path)
         if q == 1:
             acc.record(path, value_of(out.tableau), out.tableau, out.pivot_count)
+            if on_leaf is not None:
+                on_leaf(path, out.pivot_count, elapsed)
         else:
-            _scenario_tree(out.tableau, caps, q, value_of, acc, infs,
-                           first + 1, path, max_pivots, on_leaf)
-        return acc, infs
+            _scenario_tree(out.tableau, caps, groups, q - 1, value_of, acc, infeasible,
+                           g + 1, None, path, max_pivots, on_leaf)
 
-    acc = _TreeAccumulator(sense, keep_values)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(branch_only, range(m - q + 1)))
-    for sub, infs in results:
+
+def _run_tree(root, caps, groups, q, value_of, sense, keep_values, workers,
+              max_pivots=None, on_leaf=None):
+    """The scenario tree below ``root``: (accumulator, sorted infeasible
+    scenarios).  With several workers each first-level group's subtree runs
+    on a thread of its own, on private tableau copies."""
+
+    def subtree(first, stop=None):
+        acc = _TreeAccumulator(sense, keep_values)
+        infeasible = []
+        _scenario_tree(root, caps, groups, q, value_of, acc, infeasible, first, stop,
+                       max_pivots=max_pivots, on_leaf=on_leaf)
+        return acc, infeasible
+
+    if q == 0 or workers <= 1:
+        results = [subtree(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda g: subtree(g, g + 1),
+                                    range(len(groups) - q + 1)))
+    acc, infeasible = results[0]
+    for sub, infs in results[1:]:
         acc.merge(sub)
         infeasible.extend(infs)
-    infeasible.sort()
-    return acc, infeasible
+    return acc, sorted(infeasible)
 
 
 def _solve_cold(net, demands, caps, max_pivots, scenario=None):
@@ -208,48 +223,48 @@ def _solve_cold(net, demands, caps, max_pivots, scenario=None):
     return out
 
 
-def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
-                      workers=1, allow_large=False, max_scenarios=MAX_SCENARIOS,
-                      max_pivots=None):
-    """Worst-case throughput after exactly q edge deletions.
-
-    The worst value is zero iff at most q deletions can disconnect a demand
-    pair.  The returned report retains the worst scenario's optimal tableau
-    for sensitivity extraction.
-    """
-    m = net.n_edges
-    _check_gate(m, q, allow_large, max_scenarios)
+def _throughput_tree(net, demands, q, b_override, groups, keep_values, workers,
+                     allow_large, max_scenarios, max_pivots, on_leaf=None):
+    """Nominal solve and scenario tree of the throughput LP: (capacities,
+    nominal ``SolveOutcome``, accumulator)."""
+    groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
     nominal = _solve_cold(net, demands, caps, max_pivots)
-
     acc, infeasible = _run_tree(
-        nominal.tableau, caps, q, value_of=lambda t: -t.objective,
-        sense="min", keep_values=keep_per_scenario, workers=workers,
-        max_pivots=max_pivots,
+        nominal.tableau, caps, groups, q, value_of=lambda t: -t.objective,
+        sense="min", keep_values=keep_values, workers=workers,
+        max_pivots=max_pivots, on_leaf=on_leaf,
     )
     if infeasible:
         raise SolverError(f"throughput scenario {infeasible[0]} solve ended with "
                           "status infeasible", scenario=infeasible[0])
-    _, value, scenario, worst_tab = acc.best
-    return RobustReport(
-        worst_value=value,
-        worst_scenario=scenario,
-        per_scenario_values=acc.values,
-        pivots_total=nominal.pivot_count + acc.total_pivots,
-        scenarios_evaluated=acc.count,
-        per_scenario_pivots=acc.pivots,
-        context=EvalContext(worst_tab, scenario, caps, scale=1.0),
-    )
+    return caps, nominal, acc
+
+
+def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
+                      workers=1, allow_large=False, max_scenarios=MAX_SCENARIOS,
+                      max_pivots=None, groups=None):
+    """Worst-case throughput after deleting q failure groups (by default q
+    single edges).
+
+    The worst value is zero iff q deletions can disconnect a demand pair.
+    The returned report retains the worst scenario's optimal tableau for
+    sensitivity extraction.
+    """
+    caps, nominal, acc = _throughput_tree(net, demands, q, b_override, groups,
+                                          keep_per_scenario, workers, allow_large,
+                                          max_scenarios, max_pivots)
+    return acc.report(nominal.pivot_count, caps, scale=1.0)
 
 
 def _robust_latency(net, demands, q, throughput, target, denom, b_override=None,
                     keep_per_scenario=True, workers=1, allow_large=False,
-                    max_scenarios=MAX_SCENARIOS, max_pivots=None):
+                    max_scenarios=MAX_SCENARIOS, max_pivots=None, groups=None):
     """Worst-case total delay divided by ``denom`` with the throughput pinned
     to ``target``, warm-started from ``throughput``, the optimal
     ``ThroughputSolution`` at capacities ``b_override``.  The reported
     pivots leave out that throughput solve."""
-    _check_gate(net.n_edges, q, allow_large, max_scenarios)
+    groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
     cost = latency_cost_vector(net, throughput.var_map)
     tableau, pivots = pin_throughput_tableau(throughput, target, cost, max_pivots)
@@ -257,26 +272,18 @@ def _robust_latency(net, demands, q, throughput, target, denom, b_override=None,
         raise ScenarioInfeasible([()])
 
     acc, infeasible = _run_tree(
-        tableau, caps, q, value_of=lambda t: t.objective / denom,
+        tableau, caps, groups, q, value_of=lambda t: t.objective / denom,
         sense="max", keep_values=keep_per_scenario, workers=workers,
         max_pivots=max_pivots,
     )
     if infeasible:
-        raise ScenarioInfeasible(sorted(infeasible))
-    _, value, scenario, worst_tab = acc.best
-    return RobustReport(
-        worst_value=value,
-        worst_scenario=scenario,
-        per_scenario_values=acc.values,
-        pivots_total=pivots + acc.total_pivots,
-        scenarios_evaluated=acc.count,
-        per_scenario_pivots=acc.pivots,
-        context=EvalContext(worst_tab, scenario, caps, scale=denom),
-    )
+        raise ScenarioInfeasible(infeasible)
+    return acc.report(pivots, caps, scale=denom)
 
 
 def robust_latency_linear(net, demands, q, cfg, b_override=None, **kwargs):
-    """Worst-case normalized linear latency after exactly q edge deletions.
+    """Worst-case normalized linear latency after deleting q failure groups
+    (``groups`` among the keyword arguments; by default q single edges).
 
     The routed fraction is pinned at beta times the nominal maximal
     throughput in every scenario; a scenario that cannot carry that load
@@ -315,43 +322,31 @@ def worst_scenario_subgradient(context, b_current):
 
 
 def bench_robust_throughput(net, demands, q, b_override=None, allow_large=False,
-                            max_scenarios=MAX_SCENARIOS, max_pivots=None):
+                            max_scenarios=MAX_SCENARIOS, max_pivots=None, groups=None):
     """Warm-started tree versus per-scenario cold solves, with pivot counts.
 
-    Returns (rows, totals): one row per scenario with the leaf dual-simplex
-    pivot count and wall time next to a cold primal solve of the same
-    scenario, and totals where the warm side includes internal tree nodes.
+    Returns (rows, totals): one row per scenario the tree recorded, with the
+    leaf dual-simplex pivot count and wall time next to a cold primal solve
+    of the same scenario, and totals where the warm side includes internal
+    tree nodes.
     """
-    m = net.n_edges
-    _check_gate(m, q, allow_large, max_scenarios)
-    caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
-    nominal = _solve_cold(net, demands, caps, max_pivots)
-
     warm_rows = {}
 
     def on_leaf(path, pivots, elapsed):
         warm_rows[path] = (pivots, elapsed)
 
-    acc, infeasible = _run_tree(
-        nominal.tableau, caps, q, value_of=lambda t: -t.objective,
-        sense="min", keep_values=True, workers=1, max_pivots=max_pivots,
-        on_leaf=on_leaf,
-    )
-    if infeasible:
-        raise SolverError(f"throughput scenario {infeasible[0]} solve ended with "
-                          "status infeasible", scenario=infeasible[0])
-
+    caps, _, acc = _throughput_tree(net, demands, q, b_override, groups, True, 1,
+                                    allow_large, max_scenarios, max_pivots, on_leaf)
     rows = []
     cold_total_pivots = 0
     cold_total_time = 0.0
-    for scenario in enumerate_scenarios(m, q):
+    for scenario, value in sorted(acc.values.items()):
         scenario_caps = caps.copy()
         scenario_caps[list(scenario)] = 0.0
         began = time.perf_counter()
         cold = _solve_cold(net, demands, scenario_caps, max_pivots, scenario)
         cold_time = time.perf_counter() - began
         warm_pivots, warm_time = warm_rows.get(scenario, (0, 0.0))
-        value = acc.values[scenario]
         if abs(value - (-cold.objective)) > 1e-7:
             raise RuntimeError(f"warm/cold value mismatch on scenario {scenario}")
         cold_total_pivots += cold.pivot_count

@@ -173,12 +173,11 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
     return best_x, best_value, model, history, phi_history
 
 
-def _throughput_objective(net, demands, q, base_caps, allow_large, workers):
+def _throughput_objective(net, demands, q, base_caps, tree):
     def objective(x):
         caps = base_caps + x
         report = robust_throughput(net, demands, q, b_override=caps,
-                                   keep_per_scenario=False, workers=workers,
-                                   allow_large=allow_large)
+                                   keep_per_scenario=False, **tree)
         grad = worst_scenario_subgradient(report.context, caps)
         return -report.worst_value, grad
 
@@ -186,30 +185,29 @@ def _throughput_objective(net, demands, q, base_caps, allow_large, workers):
 
 
 def robustify_throughput_subgradient(net, demands, q, budget, steps=1000,
-                                     step_rule=None, allow_large=False,
-                                     workers=1):
+                                     step_rule=None, **tree):
     """Allocate the capacity budget by projected subgradient descent.
 
-    Returns the best allocation found and the monotone history of the best
-    robust throughput per iteration.
+    ``tree`` holds the scenario-tree options of ``robust_throughput``
+    (groups, workers, allow_large, max_scenarios).  Returns the best
+    allocation found and the monotone history of the best robust throughput
+    per iteration.
     """
-    objective = _throughput_objective(net, demands, q, net.capacities,
-                                      allow_large, workers)
+    objective = _throughput_objective(net, demands, q, net.capacities, tree)
     x, value, history = _subgradient_descent(objective, net.n_edges, budget,
                                              steps, step_rule)
     return BudgetAllocation(x), [-v for v in history]
 
 
 def robustify_throughput_cutting_plane(net, demands, q, budget, tol=1e-7,
-                                       max_iters=100, allow_large=False,
-                                       workers=1):
+                                       max_iters=100, **tree):
     """Allocate the capacity budget by the cutting-plane method.
 
+    ``tree`` holds the scenario-tree options of ``robust_throughput``.
     Returns the best allocation, the cut model with its master tableau, and
     the monotone history of the best robust throughput per iteration.
     """
-    objective = _throughput_objective(net, demands, q, net.capacities,
-                                      allow_large, workers)
+    objective = _throughput_objective(net, demands, q, net.capacities, tree)
     x, value, model, history, phi_history = _cutting_plane(
         objective, net.n_edges, budget, tol, max_iters
     )
@@ -219,13 +217,13 @@ def robustify_throughput_cutting_plane(net, demands, q, budget, tol=1e-7,
 
 def robustify_latency_linear(net, demands, q, budget, cfg,
                              method="cutting-plane", steps=1000,
-                             step_rule=None, tol=1e-7, max_iters=100,
-                             allow_large=False, workers=1):
+                             step_rule=None, tol=1e-7, max_iters=100, **tree):
     """Allocate the capacity budget to minimize the worst-case total delay.
 
     The inner problem routes the full demand (no throughput scaling) and its
     objective is the unnormalized total delay; a scenario that cannot carry
     the full demand at zero increment aborts with the offending scenarios.
+    ``tree`` holds the scenario-tree options of ``robust_throughput``.
     """
     if cfg.kind is not LatencyKind.LINEAR:
         raise ValueError("latency robustification requires the linear model")
@@ -235,8 +233,7 @@ def robustify_latency_linear(net, demands, q, budget, cfg,
         caps = base_caps + x
         report = _robust_latency(net, demands, q, solve_throughput(net, demands, caps),
                                  target=1.0, denom=1.0, b_override=caps,
-                                 keep_per_scenario=False, workers=workers,
-                                 allow_large=allow_large)
+                                 keep_per_scenario=False, **tree)
         grad = worst_scenario_subgradient(report.context, caps)
         return report.worst_value, grad
 

@@ -5,9 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from robustflow import DemandMatrix, Network, StandardFormLP
+from robustflow import DemandMatrix, Network
 from robustflow.network import demand_laplacian, incidence_matrix, rank_reduce
-from robustflow.simplex import Status, solve_standard_form
+from robustflow.simplex import Status
+
+from oracles import StandardFormLP, solve_standard_form
 
 
 # --- corpus ---------------------------------------------------------------

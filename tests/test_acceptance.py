@@ -17,7 +17,6 @@ from robustflow import (
     DemandMatrix,
     Network,
     Status,
-    demand_edge_connectivity,
     load_balance_from_throughput,
     parse_json_instance,
     parse_sndlib_native,
@@ -26,7 +25,6 @@ from robustflow import (
     robustify_throughput_cutting_plane,
     robustify_throughput_subgradient,
     serialize_instance,
-    solve_standard_form,
     solve_throughput,
 )
 from robustflow.errors import InfeasibleSystem
@@ -41,6 +39,7 @@ from conftest import (
     random_standard_form,
     throughput_standard_form,
 )
+from oracles import demand_edge_connectivity, solve_standard_form
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,12 +1,17 @@
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from robustflow import simplex
+from robustflow import robust, simplex
 from robustflow.cli import main
 
+from conftest import ring_chords_instance
+
 DATA = Path(__file__).parent / "data"
+RING6 = str(DATA / "ring6.txt")
 
 NET_A = {
     "name": "net-a",
@@ -75,6 +80,24 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert payload["latency_linear"] == 2.0
         assert payload["beta"] == 0.9
+
+    def test_latency_float_noise_is_not_a_usage_error(self, capsys, tmp_path):
+        # the linear optimum of this instance carried flows of -1.7e-15,
+        # which the nonlinear evaluation rejected as negative input
+        net, demands = ring_chords_instance(8, 1)
+        doc = {
+            "name": "ring8-s1",
+            "n_vertices": net.n_vertices,
+            "edges": [{"tail": e.tail, "head": e.head, "capacity": e.capacity,
+                       "delay": e.delay} for e in net.edges],
+            "demands": [{"from": s, "to": t, "value": v} for s, t, v in demands.pairs()],
+        }
+        path = tmp_path / "ring8.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "latency", "--network", str(path),
+                             "--latency-kind", "log", "--beta", "0.5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["latency_log_evaluated"] > 0
 
     def test_latency_nonlinear_evaluated(self, capsys, net_b_path):
         code, out, _ = run(capsys, "latency", "--network", net_b_path,
@@ -165,6 +188,19 @@ class TestRobustCommands:
                            "--q", "1", "--paired-failure")
         assert code == 2
 
+    def test_paired_q_beyond_link_count_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "robust-throughput", "--network", RING6,
+                             "--q", "11", "--paired-failure")
+        assert code == 2
+        assert out == "" and "q must lie in [0, 10]" in err
+
+    def test_paired_gate_overflow(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROBUSTFLOW_MAX_SCENARIOS", "44")
+        code, _, err = run(capsys, "robust-throughput", "--network", RING6,
+                           "--q", "2", "--paired-failure")
+        assert code == 2
+        assert "C(10,2) = 45 scenarios exceeds the gate of 44" in err
+
 
 class TestRobustifyCommands:
     def test_robustify_throughput_cutting_plane(self, capsys, net_a_path):
@@ -237,10 +273,11 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["throughput", "robust-throughput",
+                                         "robust-throughput --paired-failure",
                                          "robust-latency", "bench"])
     def test_pivot_cap_is_exit_three(self, capsys, monkeypatch, command):
         monkeypatch.setattr(simplex, "default_max_pivots", lambda tableau: 0)
-        code, out, err = run(capsys, command, "--network", str(DATA / "ring6.txt"))
+        code, out, err = run(capsys, *command.split(), "--network", str(DATA / "ring6.txt"))
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "iteration_limit" in err
@@ -250,3 +287,99 @@ class TestExitCodes:
                            str(DATA / "ring6.txt"))
         assert code == 0
         assert json.loads(out)["lambda"] > 0
+
+
+class TestFailureGroupFlags:
+    """Every robust subcommand honours --paired-failure and the scenario
+    gate, and registers only the flags it uses."""
+
+    def test_robust_latency_paired(self, capsys):
+        code, out, _ = run(capsys, "robust-latency", "--network", RING6,
+                           "--q", "1", "--beta", "0.3", "--paired-failure")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["scenarios_evaluated"] == 10
+        assert all(len(k.split(";")) == 2 for k in payload["per_scenario"])
+
+    def test_robustify_latency_paired(self, capsys):
+        values = {}
+        for paired in ([], ["--paired-failure"]):
+            code, out, _ = run(capsys, "robustify-latency", "--network", RING6,
+                               "--q", "2", "--budget", "0", *paired)
+            assert code == 0
+            values[bool(paired)] = json.loads(out)["robust_latency"]
+        # losing both directions of two links costs more than two edges
+        assert values == {False: 115.0, True: 119.0}
+
+    @pytest.mark.parametrize("command", [
+        ["robustify-throughput", "--budget", "1"],
+        ["robustify-throughput", "--budget", "1", "--method", "subgradient",
+         "--max-iters", "3"],
+        ["robustify-latency", "--budget", "1", "--max-iters", "3"],
+        ["bench"],
+    ])
+    def test_gate_counts_failure_groups(self, capsys, monkeypatch, command):
+        # ring6 has 20 edges in 10 links: only the paired tree fits a gate of 10
+        monkeypatch.setenv("ROBUSTFLOW_MAX_SCENARIOS", "10")
+        code, _, err = run(capsys, *command, "--network", RING6, "--q", "1")
+        assert code == 2
+        assert "C(20,1) = 20 scenarios exceeds the gate of 10" in err
+        code, out, _ = run(capsys, *command, "--network", RING6, "--q", "1",
+                           "--paired-failure")
+        assert code == 0
+
+    def test_bench_paired_rows(self, capsys):
+        code, out, _ = run(capsys, "bench", "--network", RING6, "--q", "1",
+                           "--paired-failure")
+        assert code == 0
+        rows = out.strip().splitlines()[1:-1]
+        assert [r.split(",")[0] for r in rows] == [f"{2 * i};{2 * i + 1}" for i in range(10)]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("bench", ["--workers", "2"]),
+        ("bench", ["--output", "csv"]),
+        ("robustify-throughput", ["--output", "csv"]),
+        ("robustify-latency", ["--output", "csv"]),
+    ])
+    def test_unused_flags_are_not_registered(self, capsys, command, flag):
+        argv = [command, "--network", RING6, "--q", "1", *flag]
+        if command != "bench":
+            argv += ["--budget", "1"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_node_solves_go_through_the_robust_module(self, capsys, monkeypatch):
+        calls = {"dual_simplex": 0, "tighten_rhs": 0}
+        for name in calls:
+            original = getattr(robust, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(robust, name, counted)
+        code, _, _ = run(capsys, "robust-throughput", "--network", RING6,
+                         "--q", "1", "--paired-failure")
+        assert code == 0
+        assert calls == {"dual_simplex": 10, "tighten_rhs": 20}
+
+
+def _load_tracer():
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_wrap_point_resolves():
+    """perfbench/tracer.py reports a metric as null when its wrap point is gone."""
+    tracer = _load_tracer()
+    missing = [f"{mod}.{attr}" for mod, attr, _ in tracer.WRAP_POINTS
+               if not hasattr(importlib.import_module(f"robustflow.{mod}"), attr)]
+    missing += [f"{mod}.{cls}.{meth}" for mod, cls, meth in tracer.METHOD_POINTS
+                if not hasattr(getattr(importlib.import_module(f"robustflow.{mod}"),
+                                       cls, None), meth)]
+    assert not missing

@@ -25,6 +25,7 @@ from conftest import (
     cold_latency,
     cold_throughput,
     random_corpus,
+    ring_chords_instance,
     throughput_standard_form,
 )
 
@@ -282,6 +283,15 @@ class TestLatencyLinear:
                                        -target * demand_laplacian(demands), atol=1e-8)
 
 
+def test_latency_flows_carry_no_float_noise():
+    # the linear optimum of this instance carried flows of -1.7e-15
+    net, demands = ring_chords_instance(8, 1)
+    lat = solve_latency_linear(net, demands, LatencyConfig(LatencyKind.LINEAR, 0.5),
+                               solve_throughput(net, demands))
+    assert lat.flows.min() >= 0.0
+    eval_latency(lat.flows.sum(axis=1), net, LatencyConfig(LatencyKind.LOG, 0.5))
+
+
 class TestEvalLatency:
     def one_edge_net(self):
         return Network(2, [(0, 1, 2.0, 1.0)])
@@ -328,6 +338,12 @@ class TestEvalLatency:
             cfg = LatencyConfig(kind, alpha_c=alpha)
             values = [eval_latency(np.array([f]), net, cfg) for f in grid]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_rejects_negative_flow(self):
+        net = self.one_edge_net()
+        for kind in LatencyKind:
+            with pytest.raises(ValueError, match="non-negative"):
+                eval_latency(np.array([-1e-3]), net, LatencyConfig(kind))
 
     def test_inverse_blows_up_near_capacity(self):
         net = self.one_edge_net()

@@ -4,7 +4,6 @@ import pytest
 from robustflow import (
     DemandMatrix,
     Network,
-    demand_edge_connectivity,
     demand_laplacian,
     incidence_matrix,
     rank_reduce,
@@ -13,6 +12,7 @@ from robustflow.errors import NoDemand
 from robustflow.network import independent_columns
 
 from conftest import random_corpus
+from oracles import demand_edge_connectivity
 
 
 class TestNetworkValidation:

@@ -1,3 +1,7 @@
+import math
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,11 +17,13 @@ from robustflow import (
     solve_throughput,
     worst_scenario_subgradient,
 )
-from robustflow import robust, simplex
+from robustflow import parse_sndlib_native, robust, serialize_report, simplex
 from robustflow.errors import ScenarioInfeasible, ScenarioLimitExceeded, SolverError
 from robustflow.robust import _TreeAccumulator, bench_robust_throughput
 
 from conftest import cold_throughput, ring_chords_instance
+
+RING6 = Path(__file__).parent / "data" / "ring6.txt"
 
 
 class TestEnumerateScenarios:
@@ -246,3 +252,94 @@ class TestSolverError:
             robust_throughput(net_c, demand_c, 1)
         assert info.value.scenario in {(0,), (1,), (2,)}
         assert str(info.value.scenario) in str(info.value)
+
+
+def _group_instances():
+    """(name, network, demands, link pairs): ring6 and three ring-plus-chords
+    instances, whose edges 2i and 2i+1 are the two directions of link i."""
+    doc = parse_sndlib_native(RING6.read_text(), name="ring6")
+    cases = [("ring6", doc.network, doc.demands, doc.link_pairs)]
+    for seed in (1, 2, 3):
+        net, demands = ring_chords_instance(8, seed)
+        pairs = tuple((2 * i, 2 * i + 1) for i in range(net.n_edges // 2))
+        cases.append((f"ring8-s{seed}", net, demands, pairs))
+    return cases
+
+
+GROUP_CASES = _group_instances()
+# pivots_total of the singleton tree before failure groups existed
+SINGLETON_PIVOTS = {"ring6": (46, 368), "ring8-s1": (108, 1121),
+                    "ring8-s2": (89, 1046), "ring8-s3": (175, 1664)}
+
+
+class TestFailureGroups:
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
+    def test_paired_values_match_cold_solves(self, case, q):
+        _, net, demands, pairs = case
+        report = robust_throughput(net, demands, q, groups=pairs)
+        assert report.scenarios_evaluated == math.comb(len(pairs), q)
+        cold = {}
+        for chosen in combinations(pairs, q):
+            scenario = tuple(sorted(sum(chosen, ())))
+            caps = net.capacities
+            caps[list(scenario)] = 0.0
+            cold[scenario] = cold_throughput(net, demands, caps)
+        assert set(report.per_scenario_values) == set(cold)
+        for scenario, value in report.per_scenario_values.items():
+            assert value == pytest.approx(cold[scenario], abs=1e-9)
+        assert report.worst_value == pytest.approx(min(cold.values()), abs=1e-9)
+        assert cold[report.worst_scenario] == pytest.approx(min(cold.values()), abs=1e-9)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
+    def test_workers_print_identical_output(self, case, q):
+        _, net, demands, pairs = case
+        for groups in (None, pairs):
+            seq = robust_throughput(net, demands, q, groups=groups, workers=1)
+            par = robust_throughput(net, demands, q, groups=groups, workers=2)
+            assert serialize_report(seq) == serialize_report(par)
+            assert serialize_report(seq, "csv") == serialize_report(par, "csv")
+
+    @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
+    def test_singleton_groups_keep_pivot_totals(self, case):
+        name, net, demands, _ = case
+        singletons = [(e,) for e in range(net.n_edges)]
+        for q, expected in zip((1, 2), SINGLETON_PIVOTS[name]):
+            assert robust_throughput(net, demands, q).pivots_total == expected
+            assert robust_throughput(net, demands, q,
+                                     groups=singletons).pivots_total == expected
+
+    def test_paired_q1_matches_per_scenario_solves(self):
+        # a q=1 node tightens both directions from the nominal optimum, as
+        # the former paired enumerator did
+        _, net, demands, pairs = GROUP_CASES[0]
+        assert robust_throughput(net, demands, 1, groups=pairs).pivots_total == 40
+
+    def test_gate_counts_groups(self):
+        _, net, demands, pairs = GROUP_CASES[0]
+        with pytest.raises(ScenarioLimitExceeded):
+            robust_throughput(net, demands, 2, groups=pairs, max_scenarios=44)
+        report = robust_throughput(net, demands, 2, groups=pairs, max_scenarios=45)
+        assert report.scenarios_evaluated == 45
+        with pytest.raises(ValueError):
+            robust_throughput(net, demands, 11, groups=pairs)
+
+    def test_infeasible_completions_span_groups(self):
+        # three parallel links of two edges each; losing any link leaves too
+        # little capacity for the pinned latency load
+        net = Network(2, [(0, 1, 1.0, 1.0)] * 6)
+        demands = DemandMatrix([[0.0, 1.0], [0.0, 0.0]])
+        cfg = LatencyConfig(LatencyKind.LINEAR, beta=1.0)
+        pairs = ((0, 1), (2, 3), (4, 5))
+        with pytest.raises(ScenarioInfeasible) as info:
+            robust_latency_linear(net, demands, 2, cfg, groups=pairs)
+        assert info.value.scenarios == [(0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5)]
+
+    def test_bench_runs_over_the_recorded_scenarios(self):
+        _, net, demands, pairs = GROUP_CASES[0]
+        rows, totals = bench_robust_throughput(net, demands, 2, groups=pairs)
+        report = robust_throughput(net, demands, 2, groups=pairs)
+        assert [r["scenario_edges"] for r in rows] == sorted(report.per_scenario_values)
+        assert totals["warm_pivots"] == report.pivots_total - solve_throughput(
+            net, demands).pivot_count

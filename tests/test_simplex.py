@@ -5,13 +5,11 @@ from robustflow import (
     DemandMatrix,
     Network,
     SimplexTableau,
-    StandardFormLP,
     Status,
     add_cut_row,
     dual_simplex,
     primal_simplex,
     rhs_sensitivity,
-    solve_standard_form,
     tighten_rhs,
 )
 from robustflow.errors import (
@@ -23,7 +21,6 @@ from robustflow.errors import (
 )
 from robustflow import robust_throughput, simplex, solve_throughput
 from robustflow.flows import build_throughput_tableau
-from robustflow.simplex import tableau_from_basis
 
 from conftest import (
     brute_force_lp,
@@ -31,6 +28,7 @@ from conftest import (
     random_standard_form,
     ring_chords_instance,
 )
+from oracles import StandardFormLP, solve_standard_form, tableau_from_basis
 
 
 def single_row_tableau(coeff, rhs, cost, constraint_id=None):
