@@ -20,6 +20,7 @@ from .simplex import (
     dual_simplex,
     primal_simplex,
     rhs_sensitivity,
+    shift_rhs,
     tighten_rhs,
 )
 from .flows import (
@@ -93,6 +94,7 @@ __all__ = [
     "serialize_report",
     "solve_latency_linear",
     "solve_throughput",
+    "shift_rhs",
     "tighten_rhs",
     "worst_scenario_subgradient",
 ]

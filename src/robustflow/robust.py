@@ -2,22 +2,27 @@
 
 A scenario deletes q failure groups: disjoint tuples of edges that fail
 together, single edges ``(e,)`` by default or both directions of each SNDlib
-link.  ``_scenario_tree`` is the one enumerator.  It walks the q-subsets of
-the groups as a depth-first tree in lexicographic order; each tree node
-deletes one more group than its parent by tightening its edges' capacity
-slacks to zero and re-optimizing with the dual simplex method, so every
-child solve is warm-started from its parent's optimal basis.  A scenario is
-reported as the sorted tuple of its deleted edges.  With several workers the
-first-level subtrees run on threads; the result does not depend on how many.
+link.  One walk (``_Walk``) enumerates the q-subsets of the groups as a
+depth-first tree in lexicographic order; each tree node deletes one more
+group than its parent by tightening its edges' capacity slacks to zero and
+re-optimizing with the dual simplex method, so every child solve is
+warm-started from its parent's optimal basis.  A scenario is reported as the
+sorted tuple of its deleted edges.  With several workers the first-level
+subtrees run on threads; the result does not depend on how many.
 Throughput is monotone in capacities, so the worst case over at-most-q
 failures is attained by an exactly-q scenario.
+
+Budget allocation evaluates the same tree at many capacity vectors.  A
+``WarmStart`` carries the optimal node tableaux of one tree level from one
+evaluation to the next: a capacity change moves only right-hand sides, so
+each kept node stays dual feasible after ``shift_rhs`` and is re-optimized
+from its own basis instead of being rebuilt and reached again from the root.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -36,10 +41,13 @@ from .simplex import (
     dual_simplex,
     primal_simplex,
     rhs_sensitivity,
+    shift_rhs,
     tighten_rhs,
 )
 
 MAX_SCENARIOS = 10 ** 6
+# bytes of node tableaux one warm start may keep between evaluations
+MAX_WARM_BYTES = 256 * 2 ** 20
 
 
 @dataclass
@@ -50,6 +58,23 @@ class EvalContext:
     deleted: tuple
     capacities: np.ndarray
     scale: float = 1.0
+
+
+@dataclass
+class WarmStart:
+    """Optimal scenario-tree nodes kept between the evaluations of one run
+    at changing capacities.
+
+    Empty until the first evaluation fills it for the tree ``tree`` =
+    (q, failure groups).  ``nodes`` maps each kept node's deleted edges to
+    (index of the first group it may still delete, its optimal tableau at
+    ``caps``); the kept nodes sit ``below`` levels above the leaves.
+    """
+
+    caps: np.ndarray | None = None
+    nodes: dict = field(default_factory=dict)
+    below: int = 0
+    tree: tuple = ()
 
 
 @dataclass
@@ -114,6 +139,8 @@ class _TreeAccumulator:
         self.total_pivots = 0
 
     def record(self, scenario, value, tableau, pivots):
+        if abs(value) <= 1e-9:
+            value = 0.0  # float noise around zero, never -0.0
         self.count += 1
         if self.values is not None:
             self.values[scenario] = value
@@ -133,7 +160,8 @@ class _TreeAccumulator:
 
     def report(self, pivots, caps, scale):
         """Report of the recorded scenarios; ``pivots`` were spent before the
-        tree, whose root LP was built at capacities ``caps``."""
+        tree, whose root LP was built at capacities ``caps``.  The report
+        holds a copy of the worst tableau, which a warm start may shift."""
         _, value, scenario, tableau = self.best
         return RobustReport(
             worst_value=value,
@@ -142,73 +170,152 @@ class _TreeAccumulator:
             pivots_total=pivots + self.total_pivots,
             scenarios_evaluated=self.count,
             per_scenario_pivots=self.pivots,
-            context=EvalContext(tableau, scenario, caps, scale=scale),
+            context=EvalContext(tableau.copy(), scenario, caps, scale=scale),
         )
 
 
-def _scenario_tree(root, caps, groups, q, value_of, acc, infeasible, start=0,
-                   stop=None, deleted=(), max_pivots=None, on_leaf=None):
-    """Depth-first warm-started enumeration below one tree node.
+class _Walk:
+    """Depth-first warm-started walk of the scenario tree at capacities
+    ``caps``.
 
-    ``root`` is optimal with the edges ``deleted`` removed.  The walk deletes
-    q more groups from ``groups[start:]``, the first of them below ``stop``
-    (None: any).  A node tightens every edge of its group, then runs one dual
-    solve; scenarios are recorded as sorted edge tuples.
+    A node tightens every edge of one more group and runs one dual solve.
+    Scenarios are recorded as sorted edge tuples in ``acc``, infeasible ones
+    in ``infeasible``; with a ``warm`` start, the optimal nodes of its kept
+    level go to ``warm.nodes`` as well.
     """
-    if q == 0:
-        acc.record(deleted, value_of(root), root, 0)
-        return
-    last = len(groups) - q + 1
-    for g in range(start, last if stop is None else min(stop, last)):
-        child = root
-        for e in groups[g]:
-            child = tighten_rhs(child, e, caps[e])
+
+    def __init__(self, caps, groups, value_of, acc, max_pivots=None, on_leaf=None,
+                 warm=None):
+        self.caps = caps
+        self.groups = groups
+        self.value_of = value_of
+        self.acc = acc
+        self.infeasible = []
+        self.max_pivots = max_pivots
+        self.on_leaf = on_leaf
+        self.warm = warm
+
+    def tree(self, root, q, start=0, stop=None, deleted=()):
+        """Delete q more groups from ``groups[start:]`` below ``root``, optimal
+        with the edges ``deleted`` removed; the first of them below ``stop``
+        (None: any)."""
+        if q == 0:
+            self.acc.record(deleted, self.value_of(root), root, 0)
+            return
+        last = len(self.groups) - q + 1
+        for g in range(start, last if stop is None else min(stop, last)):
+            child = root
+            for e in self.groups[g]:
+                child = tighten_rhs(child, e, self.caps[e])
+            self.node(child, tuple(sorted(deleted + self.groups[g])), g + 1, q - 1)
+
+    def node(self, child, path, start, q):
+        """Re-optimize ``child``, dual feasible with the edges ``path``
+        deleted; then record it (q = 0) or walk the q groups it still
+        deletes from ``groups[start:]``."""
         began = time.perf_counter()
-        out = dual_simplex(child, max_pivots)
+        out = dual_simplex(child, self.max_pivots)
         elapsed = time.perf_counter() - began
-        acc.total_pivots += out.pivot_count
-        path = tuple(sorted(deleted + groups[g]))
+        self.acc.total_pivots += out.pivot_count
         if out.status is Status.INFEASIBLE:
             # every completion of this path only tightens further
-            for rest in combinations(groups[g + 1:], q - 1):
-                infeasible.append(tuple(sorted(path + sum(rest, ()))))
-            continue
+            for rest in combinations(self.groups[start:], q):
+                self.infeasible.append(tuple(sorted(path + sum(rest, ()))))
+            return
         if out.status is not Status.OPTIMAL:
             raise SolverError(f"scenario {path} solve ended with status {out.status.value}",
                               scenario=path)
-        if q == 1:
-            acc.record(path, value_of(out.tableau), out.tableau, out.pivot_count)
-            if on_leaf is not None:
-                on_leaf(path, out.pivot_count, elapsed)
+        if self.warm is not None and q == self.warm.below:
+            self.warm.nodes[path] = (start, out.tableau)
+        if q == 0:
+            self.acc.record(path, self.value_of(out.tableau), out.tableau, out.pivot_count)
+            if self.on_leaf is not None:
+                self.on_leaf(path, out.pivot_count, elapsed)
         else:
-            _scenario_tree(out.tableau, caps, groups, q - 1, value_of, acc, infeasible,
-                           g + 1, None, path, max_pivots, on_leaf)
+            self.tree(out.tableau, q, start, None, path)
 
 
-def _run_tree(root, caps, groups, q, value_of, sense, keep_values, workers,
-              max_pivots=None, on_leaf=None):
-    """The scenario tree below ``root``: (accumulator, sorted infeasible
-    scenarios).  With several workers each first-level group's subtree runs
-    on a thread of its own, on private tableau copies."""
-
-    def subtree(first, stop=None):
-        acc = _TreeAccumulator(sense, keep_values)
-        infeasible = []
-        _scenario_tree(root, caps, groups, q, value_of, acc, infeasible, first, stop,
-                       max_pivots=max_pivots, on_leaf=on_leaf)
-        return acc, infeasible
-
-    if q == 0 or workers <= 1:
-        results = [subtree(0)]
+def _run_tree(new_walk, task, items, workers):
+    """``task(walk, item)`` for every item: (merged accumulator, sorted
+    infeasible scenarios).  With several workers each item runs on a thread
+    and a walk of its own; the result does not depend on how many."""
+    if workers <= 1 or len(items) <= 1:
+        walk = new_walk()
+        for item in items:
+            task(walk, item)
+        walks = [walk]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        def run(item):
+            walk = new_walk()
+            task(walk, item)
+            return walk
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda g: subtree(g, g + 1),
-                                    range(len(groups) - q + 1)))
-    acc, infeasible = results[0]
-    for sub, infs in results[1:]:
-        acc.merge(sub)
-        infeasible.extend(infs)
+            walks = list(pool.map(run, items))
+    acc, infeasible = walks[0].acc, walks[0].infeasible
+    for walk in walks[1:]:
+        acc.merge(walk.acc)
+        infeasible.extend(walk.infeasible)
     return acc, sorted(infeasible)
+
+
+def _keep_level(warm, root, groups, q):
+    """Make ``warm`` keep the nodes of the deepest level d <= q whose
+    C(len(groups), d) tableaux, each the size of ``root``, fit in
+    ``MAX_WARM_BYTES``; the root itself when no level d >= 1 fits."""
+    size = sum(a.nbytes for a in (root.body, root.rhs, root.cost_row,
+                                  root.basic_vars, root.nonbasic_vars))
+    depth = next((d for d in range(q, 0, -1)
+                  if math.comb(len(groups), d) * size <= MAX_WARM_BYTES), 0)
+    warm.tree = (q, groups)
+    warm.below = q - depth
+    warm.nodes = {(): (0, root)} if depth == 0 else {}
+
+
+def _evaluate(root, caps, groups, q, value_of, sense, keep_values, workers,
+              max_pivots=None, warm=None, on_leaf=None):
+    """The scenario tree at capacities ``caps``: (pivots spent before the
+    tree, accumulator, sorted infeasible scenarios).
+
+    ``root()`` returns the optimal tableau with nothing deleted and its
+    pivots.  A ``warm`` start that holds nodes skips it: each kept node is
+    shifted by the capacity change since the previous evaluation (zero on
+    its deleted edges), re-optimized by dual simplex from its own basis, and
+    the levels below it walked.  Otherwise the full tree runs below
+    ``root()`` and fills ``warm``.
+    """
+    def new_walk():
+        return _Walk(caps, groups, value_of, _TreeAccumulator(sense, keep_values),
+                     max_pivots, on_leaf, warm)
+
+    if warm is not None and warm.caps is not None:
+        if warm.tree != (q, groups):
+            raise ValueError("a warm start serves the scenario tree it was filled for")
+        change = caps - warm.caps
+        moved = np.flatnonzero(change).tolist()
+        # taken out first, so that an evaluation that fails leaves no stale node
+        nodes, warm.nodes, warm.caps = warm.nodes, {}, None
+
+        def resolve(walk, path):
+            start, tableau = nodes.pop(path)
+            shift_rhs(tableau, {e: change[e] for e in moved if e not in path})
+            walk.node(tableau, path, start, warm.below)
+
+        pivots = 0
+        acc, infeasible = _run_tree(new_walk, resolve, sorted(nodes), workers)
+    else:
+        tableau, pivots = root()
+        if warm is not None:
+            _keep_level(warm, tableau, groups, q)
+        firsts = range(len(groups) - q + 1) if q else range(1)
+        acc, infeasible = _run_tree(
+            new_walk, lambda walk, g: walk.tree(tableau, q, g, g + 1), firsts, workers)
+    if warm is not None:
+        # an infeasible node is not kept, so the next evaluation starts cold
+        warm.caps = None if infeasible else caps
+    return pivots, acc, infeasible
 
 
 def _solve_cold(net, demands, caps, max_pivots, scenario=None):
@@ -224,57 +331,69 @@ def _solve_cold(net, demands, caps, max_pivots, scenario=None):
 
 
 def _throughput_tree(net, demands, q, b_override, groups, keep_values, workers,
-                     allow_large, max_scenarios, max_pivots, on_leaf=None):
+                     allow_large, max_scenarios, max_pivots, on_leaf=None, warm=None):
     """Nominal solve and scenario tree of the throughput LP: (capacities,
-    nominal ``SolveOutcome``, accumulator)."""
+    pivots spent before the tree, accumulator)."""
     groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
-    nominal = _solve_cold(net, demands, caps, max_pivots)
-    acc, infeasible = _run_tree(
-        nominal.tableau, caps, groups, q, value_of=lambda t: -t.objective,
-        sense="min", keep_values=keep_values, workers=workers,
-        max_pivots=max_pivots, on_leaf=on_leaf,
+
+    def nominal():
+        out = _solve_cold(net, demands, caps, max_pivots)
+        return out.tableau, out.pivot_count
+
+    pivots, acc, infeasible = _evaluate(
+        nominal, caps, groups, q, value_of=lambda t: -t.objective, sense="min",
+        keep_values=keep_values, workers=workers, max_pivots=max_pivots, warm=warm,
+        on_leaf=on_leaf,
     )
     if infeasible:
         raise SolverError(f"throughput scenario {infeasible[0]} solve ended with "
                           "status infeasible", scenario=infeasible[0])
-    return caps, nominal, acc
+    return caps, pivots, acc
 
 
 def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
                       workers=1, allow_large=False, max_scenarios=MAX_SCENARIOS,
-                      max_pivots=None, groups=None):
+                      max_pivots=None, groups=None, warm=None):
     """Worst-case throughput after deleting q failure groups (by default q
     single edges).
 
     The worst value is zero iff q deletions can disconnect a demand pair.
     The returned report retains the worst scenario's optimal tableau for
-    sensitivity extraction.
+    sensitivity extraction.  ``warm``, one ``WarmStart`` shared by the
+    evaluations of a run, re-optimizes the nodes kept at the previous
+    capacities instead of solving the nominal LP again.
     """
-    caps, nominal, acc = _throughput_tree(net, demands, q, b_override, groups,
-                                          keep_per_scenario, workers, allow_large,
-                                          max_scenarios, max_pivots)
-    return acc.report(nominal.pivot_count, caps, scale=1.0)
+    caps, pivots, acc = _throughput_tree(net, demands, q, b_override, groups,
+                                         keep_per_scenario, workers, allow_large,
+                                         max_scenarios, max_pivots, warm=warm)
+    return acc.report(pivots, caps, scale=1.0)
 
 
 def _robust_latency(net, demands, q, throughput, target, denom, b_override=None,
                     keep_per_scenario=True, workers=1, allow_large=False,
-                    max_scenarios=MAX_SCENARIOS, max_pivots=None, groups=None):
+                    max_scenarios=MAX_SCENARIOS, max_pivots=None, groups=None,
+                    warm=None):
     """Worst-case total delay divided by ``denom`` with the throughput pinned
     to ``target``, warm-started from ``throughput``, the optimal
     ``ThroughputSolution`` at capacities ``b_override``.  The reported
-    pivots leave out that throughput solve."""
+    pivots leave out that throughput solve.  A ``warm`` start that holds
+    nodes needs no ``throughput``; it assumes ``target`` and ``denom`` stay
+    as they were when it was filled.
+    """
     groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
     caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
-    cost = latency_cost_vector(net, throughput.var_map)
-    tableau, pivots = pin_throughput_tableau(throughput, target, cost, max_pivots)
-    if tableau is None:
-        raise ScenarioInfeasible([()])
 
-    acc, infeasible = _run_tree(
-        tableau, caps, groups, q, value_of=lambda t: t.objective / denom,
-        sense="max", keep_values=keep_per_scenario, workers=workers,
-        max_pivots=max_pivots,
+    def pinned():
+        cost = latency_cost_vector(net, throughput.var_map)
+        tableau, pivots = pin_throughput_tableau(throughput, target, cost, max_pivots)
+        if tableau is None:
+            raise ScenarioInfeasible([()])
+        return tableau, pivots
+
+    pivots, acc, infeasible = _evaluate(
+        pinned, caps, groups, q, value_of=lambda t: t.objective / denom, sense="max",
+        keep_values=keep_per_scenario, workers=workers, max_pivots=max_pivots, warm=warm,
     )
     if infeasible:
         raise ScenarioInfeasible(infeasible)

@@ -8,6 +8,13 @@ projected subgradient method walks the simplex directly; the cutting-plane
 method builds an affine lower model from (value, subgradient) pairs and
 re-optimizes the master LP after each new cut with a warm-started dual
 simplex.
+
+Each objective evaluates the scenario tree through ``robust_throughput`` or
+``_robust_latency`` with one ``WarmStart`` per run.  Only the first
+evaluation builds and solves the nominal LP; every later one shifts the kept
+node tableaux by the capacity change and re-optimizes them by dual simplex,
+as the increments change only right-hand sides.  The warm start lives in the
+objective's closure and ends with the run.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .errors import SolverError
 from .flows import LatencyKind, solve_throughput
-from .robust import _robust_latency, robust_throughput, worst_scenario_subgradient
+from .robust import WarmStart, _robust_latency, robust_throughput, worst_scenario_subgradient
 from .simplex import SimplexTableau, Status, add_cut_row, dual_simplex
 
 
@@ -174,10 +181,12 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
 
 
 def _throughput_objective(net, demands, q, base_caps, tree):
+    warm = WarmStart()
+
     def objective(x):
         caps = base_caps + x
         report = robust_throughput(net, demands, q, b_override=caps,
-                                   keep_per_scenario=False, **tree)
+                                   keep_per_scenario=False, warm=warm, **tree)
         grad = worst_scenario_subgradient(report.context, caps)
         return -report.worst_value, grad
 
@@ -228,12 +237,15 @@ def robustify_latency_linear(net, demands, q, budget, cfg,
     if cfg.kind is not LatencyKind.LINEAR:
         raise ValueError("latency robustification requires the linear model")
     base_caps = net.capacities
+    warm = WarmStart()
 
     def objective(x):
         caps = base_caps + x
-        report = _robust_latency(net, demands, q, solve_throughput(net, demands, caps),
-                                 target=1.0, denom=1.0, b_override=caps,
-                                 keep_per_scenario=False, **tree)
+        # only the first evaluation starts from the throughput optimum
+        throughput = None if warm.caps is not None else solve_throughput(net, demands, caps)
+        report = _robust_latency(net, demands, q, throughput, target=1.0, denom=1.0,
+                                 b_override=caps, keep_per_scenario=False, warm=warm,
+                                 **tree)
         grad = worst_scenario_subgradient(report.context, caps)
         return report.worst_value, grad
 

@@ -22,8 +22,9 @@ the objective moves, which guarantees termination on degenerate LPs.  Ratio
 tests take the minimum ratio, ties broken by the smallest variable index.
 
 Besides primal and dual simplex the module provides the two warm-start
-transformations used throughout the package: tightening the right-hand side
-of an inequality (via its slack variable) and appending a new inequality row
+transformations used throughout the package: a signed shift of the
+right-hand sides of inequalities (via their slack variables; deleting an
+edge is a shift by minus its capacity) and appending a new inequality row
 to an optimal tableau, plus the sensitivity of the optimal value with
 respect to a right-hand-side entry.
 """
@@ -64,7 +65,7 @@ class SimplexTableau:
     the variable expressed by row ``r`` and ``nonbasic_vars[j]`` the variable
     of column ``j``.  ``constraint_slacks`` maps constraint ids of the
     original inequalities to the global index of their slack variable, which
-    is what ``tighten_rhs`` and ``rhs_sensitivity`` operate on.
+    is what ``shift_rhs`` and ``rhs_sensitivity`` operate on.
     """
 
     def __init__(self, basic_vars, nonbasic_vars, body, rhs, cost_row,
@@ -104,11 +105,17 @@ class SimplexTableau:
         return -self.cost_corner
 
     def copy(self):
-        return SimplexTableau(
-            self.basic_vars, self.nonbasic_vars, self.body, self.rhs,
-            self.cost_row, self.cost_corner, self.constraint_slacks,
-            self.n_original,
-        )
+        # the arrays are already validated, so skip __init__
+        t = object.__new__(SimplexTableau)
+        t.basic_vars = self.basic_vars.copy()
+        t.nonbasic_vars = self.nonbasic_vars.copy()
+        t.body = self.body.copy()
+        t.rhs = self.rhs.copy()
+        t.cost_row = self.cost_row.copy()
+        t.cost_corner = self.cost_corner
+        t.constraint_slacks = dict(self.constraint_slacks)
+        t.n_original = self.n_original
+        return t
 
     def is_primal_feasible(self, tol=FEAS_TOL):
         return bool((self.rhs >= -tol).all())
@@ -277,31 +284,49 @@ def dual_simplex(tableau, max_pivots=None):
         pivots += 1
 
 
+def shift_rhs(tableau, increase):
+    """Add ``increase[c]`` to the right-hand side of each original inequality
+    ``c``, in place; the amounts are signed.
+
+    A constraint whose slack is basic only moves that slack's value:
+    ``rhs[row] += d``.  Over the constraints whose slacks are non-basic, at
+    columns ``cols``, the whole rhs column shifts by ``body[:, cols] @ d`` and
+    the corner by ``cost_row[cols] @ d``.  The basis and the cost row are
+    untouched, so a dual-feasible tableau stays dual feasible and is ready
+    for ``dual_simplex``.
+    """
+    try:
+        slacks = np.array([tableau.constraint_slacks[c] for c in increase], dtype=int)
+    except KeyError as missing:
+        raise UnknownConstraint(
+            f"no slack registered for constraint {missing.args[0]!r}") from None
+    d = np.fromiter(increase.values(), dtype=float, count=slacks.size)
+    which, rows = (slacks[:, None] == tableau.basic_vars).nonzero()
+    if rows.size:
+        tableau.rhs[rows] += d[which]
+    if rows.size < slacks.size:
+        which, cols = (slacks[:, None] == tableau.nonbasic_vars).nonzero()
+        d = d[which]
+        tableau.rhs += tableau.body[:, cols].dot(d)
+        tableau.cost_corner += float(tableau.cost_row[cols].dot(d))
+
+
 def tighten_rhs(tableau, constraint_id, delta):
     """Reduce the right-hand side of an original inequality by ``delta``.
 
-    Returns a new tableau for the daughter LP.  If the constraint's slack is
-    basic only its value shrinks; if the slack value stays non-negative the
-    tableau remains optimal.  If the slack is non-basic the whole rhs column
-    shifts along the slack's tableau column and the corner picks up
-    ``delta`` times the slack's reduced cost.  Either way the cost row is
-    untouched, so the result is dual feasible and ready for ``dual_simplex``.
+    Returns a new tableau for the daughter LP: a copy shifted by
+    ``shift_rhs`` with ``-delta``.  If the constraint's slack is basic only
+    its value shrinks, and the tableau stays optimal while that value stays
+    non-negative; otherwise the rhs column and the corner shift.  Either way
+    the result is dual feasible and ready for ``dual_simplex``.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
     if constraint_id not in tableau.constraint_slacks:
         raise UnknownConstraint(f"no slack registered for constraint {constraint_id!r}")
     t = tableau.copy()
-    if delta == 0:
-        return t
-    slack = t.constraint_slacks[constraint_id]
-    row = t.basic_row_of(slack)
-    if row is not None:
-        t.rhs[row] -= delta
-    else:
-        col = t.nonbasic_col_of(slack)
-        t.rhs -= delta * t.body[:, col]
-        t.cost_corner -= delta * t.cost_row[col]
+    if delta != 0:
+        shift_rhs(t, {constraint_id: -delta})
     return t
 
 

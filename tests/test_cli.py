@@ -55,6 +55,16 @@ def net_b_path(tmp_path):
     return str(path)
 
 
+def _json_instance(name, net, demands):
+    return {
+        "name": name,
+        "n_vertices": net.n_vertices,
+        "edges": [{"tail": e.tail, "head": e.head, "capacity": e.capacity,
+                   "delay": e.delay} for e in net.edges],
+        "demands": [{"from": s, "to": t, "value": v} for s, t, v in demands.pairs()],
+    }
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -85,19 +95,26 @@ class TestBasicCommands:
         # the linear optimum of this instance carried flows of -1.7e-15,
         # which the nonlinear evaluation rejected as negative input
         net, demands = ring_chords_instance(8, 1)
-        doc = {
-            "name": "ring8-s1",
-            "n_vertices": net.n_vertices,
-            "edges": [{"tail": e.tail, "head": e.head, "capacity": e.capacity,
-                       "delay": e.delay} for e in net.edges],
-            "demands": [{"from": s, "to": t, "value": v} for s, t, v in demands.pairs()],
-        }
         path = tmp_path / "ring8.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(_json_instance("ring8-s1", net, demands)))
         code, out, err = run(capsys, "latency", "--network", str(path),
                              "--latency-kind", "log", "--beta", "0.5")
         assert (code, err) == (0, "")
         assert json.loads(out)["latency_log_evaluated"] > 0
+
+    def test_throughput_noise_prints_as_zero(self, capsys, tmp_path):
+        # one q=2 scenario of this instance disconnects a demand pair, and its
+        # optimal tableau read the throughput as -1.5e-15
+        net, demands = ring_chords_instance(10, 5)
+        path = tmp_path / "ring10.json"
+        path.write_text(json.dumps(_json_instance("ring10-s5", net, demands)))
+        code, out, _ = run(capsys, "robust-throughput", "--network", str(path), "--q", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["worst_value"] == 0.0
+        zeros = [v for v in payload["per_scenario"].values() if abs(v) <= 1e-9]
+        assert zeros and all(v == 0.0 for v in zeros)
+        assert "-0" not in out.replace("-0.", "")
 
     def test_latency_nonlinear_evaluated(self, capsys, net_b_path):
         code, out, _ = run(capsys, "latency", "--network", net_b_path,
@@ -364,6 +381,61 @@ class TestFailureGroupFlags:
                          "--q", "1", "--paired-failure")
         assert code == 0
         assert calls == {"dual_simplex": 10, "tighten_rhs": 20}
+
+
+class TestTracerCounting:
+    """perfbench/tracer.py counts outer iterations and tree nodes by wrapping
+    ``robustify.robust_throughput``/``robustify._robust_latency`` and
+    ``robust.dual_simplex``; every evaluation must still pass through them."""
+
+    def count(self, monkeypatch, module, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("command, inner, extra", [
+        ("robustify-throughput", "robust_throughput", []),
+        ("robustify-throughput", "robust_throughput",
+         ["--method", "subgradient", "--max-iters", "6"]),
+        ("robustify-latency", "_robust_latency", []),
+        ("robustify-latency", "_robust_latency",
+         ["--method", "subgradient", "--max-iters", "6"]),
+    ])
+    def test_one_inner_evaluation_per_outer_evaluation(self, capsys, monkeypatch,
+                                                       command, inner, extra):
+        from robustflow import flows, robustify
+        evals = self.count(monkeypatch, robustify,
+                           [inner, "worst_scenario_subgradient", "solve_throughput"])
+        builds = [self.count(monkeypatch, module, ["build_throughput_tableau"])
+                  for module in (flows, robust)]
+        code, out, _ = run(capsys, command, "--network", RING6, "--q", "1",
+                           "--budget", "40", *extra)
+        assert code == 0
+        assert evals[inner] == evals["worst_scenario_subgradient"] > 2
+        if command == "robustify-throughput":
+            assert evals[inner] == json.loads(out)["iterations"]
+        # one tableau build and, for latency, one throughput solve per run
+        assert evals["solve_throughput"] == (command == "robustify-latency")
+        assert sum(b["build_throughput_tableau"] for b in builds) == 1
+
+    def test_kept_nodes_are_resolved_through_the_robust_module(self, capsys,
+                                                               monkeypatch):
+        from robustflow import robustify
+        calls = self.count(monkeypatch, robust, ["dual_simplex"])
+        evals = self.count(monkeypatch, robustify, ["robust_throughput"])
+        code, out, _ = run(capsys, "robustify-throughput", "--network", RING6,
+                           "--q", "1", "--budget", "40")
+        assert code == 0
+        # the first evaluation walks the 20 leaves, each later one re-solves them
+        assert evals["robust_throughput"] == json.loads(out)["iterations"] > 2
+        assert calls["dual_simplex"] == 20 * evals["robust_throughput"]
 
 
 def _load_tracer():

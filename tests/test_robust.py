@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -227,6 +228,18 @@ class TestWorstScenarioTies:
         assert self.best_of("min", records) == (1,)
         assert self.best_of("max", records) == (0,)
 
+    def test_recorded_values_snap_noise_to_zero(self):
+        acc = _TreeAccumulator("min", keep_values=True)
+        for scenario, value in [((0,), -8.881784197e-16), ((1,), 1e-9), ((2,), -0.0),
+                                ((3,), 2e-9), ((4,), -2e-9)]:
+            acc.record(scenario, value, None, 0)
+        assert acc.values == {(0,): 0.0, (1,): 0.0, (2,): 0.0, (3,): 2e-9, (4,): -2e-9}
+        for scenario in ((0,), (1,), (2,)):
+            assert math.copysign(1.0, acc.values[scenario]) == 1.0
+        assert acc.best[1:3] == (-2e-9, (4,))
+        acc.record((5,), -5e-10, None, 0)
+        assert acc.best[1:3] == (-2e-9, (4,))
+
     def test_equal_scenarios_report_the_smaller(self):
         net = Network(2, [(0, 1, 3.0, 1.0), (0, 1, 3.0, 1.0), (0, 1, 2.0, 1.0)])
         demands = DemandMatrix([[0.0, 1.0], [0.0, 0.0]])
@@ -343,3 +356,190 @@ class TestFailureGroups:
         assert [r["scenario_edges"] for r in rows] == sorted(report.per_scenario_values)
         assert totals["warm_pivots"] == report.pivots_total - solve_throughput(
             net, demands).pivot_count
+
+
+def _capacity_path(net, seed, steps=6):
+    """Capacity vectors at or above the base capacities, stepping up and
+    down and ending back at the base."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(net.n_edges)
+    path = []
+    for k in range(steps - 1):
+        step = rng.uniform(0.0, 0.3, size=net.n_edges) * net.capacities
+        step[rng.random(net.n_edges) < 0.5] = 0.0
+        x = x + step if k % 2 == 0 else np.maximum(x - 2 * step, 0.0)
+        path.append(net.capacities + x)
+    return path + [net.capacities]
+
+
+def _evaluator(kind, net, demands, q, groups):
+    """evaluate(caps, warm=None, workers=1): the report of one objective,
+    throughput or latency with the throughput pinned at a fixed target."""
+    if kind == "throughput":
+        def evaluate(caps, warm=None, workers=1):
+            return robust_throughput(net, demands, q, b_override=caps, groups=groups,
+                                     warm=warm, workers=workers)
+        return evaluate
+    target = 0.1 * solve_throughput(net, demands).lambda_star
+
+    def evaluate(caps, warm=None, workers=1):
+        primed = warm is not None and warm.caps is not None
+        throughput = None if primed else solve_throughput(net, demands, caps)
+        return robust._robust_latency(net, demands, q, throughput, target, 1.0,
+                                      b_override=caps, groups=groups, warm=warm,
+                                      workers=workers)
+    return evaluate
+
+
+def _walk_warm(case, q, paired, kind, workers=1, cold=True):
+    """(warm outcomes, cold outcomes, warm start) along a capacity path; an
+    outcome is a report, or the scenarios of a ScenarioInfeasible."""
+    _, net, demands, pairs = case
+    evaluate = _evaluator(kind, net, demands, q, pairs if paired else None)
+
+    def outcome(*args):
+        try:
+            return evaluate(*args)
+        except ScenarioInfeasible as err:
+            return err.scenarios
+
+    warm = robust.WarmStart()
+    got, want = [], []
+    for caps in _capacity_path(net, seed=q + 2 * paired):
+        got.append(outcome(caps, warm, workers))
+        if cold:
+            want.append(outcome(caps))
+    return got, want, warm
+
+
+def _assert_same(got, want):
+    if isinstance(want, list):
+        assert got == want
+        return
+    assert got.scenarios_evaluated == want.scenarios_evaluated
+    assert got.worst_value == pytest.approx(want.worst_value, abs=1e-9)
+    assert got.worst_scenario == want.worst_scenario
+    assert set(got.per_scenario_values) == set(want.per_scenario_values)
+    for scenario, value in want.per_scenario_values.items():
+        assert got.per_scenario_values[scenario] == pytest.approx(value, abs=1e-9)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind", ["throughput", "latency"])
+    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
+    def test_warm_matches_cold_along_a_capacity_path(self, case, q, paired, kind):
+        got, want, warm = _walk_warm(case, q, paired, kind)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+        if isinstance(want[0], list):
+            return  # the scenarios that cannot carry the load, at every capacity
+        assert warm.below == 0  # every leaf fits the memory constant
+        # later evaluations skip the nominal solve and re-solve each leaf
+        assert got[0].pivots_total == want[0].pivots_total
+        assert sum(g.pivots_total for g in got[1:]) < sum(w.pivots_total for w in want[1:])
+
+    @pytest.mark.parametrize("kind", ["throughput", "latency"])
+    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+    @pytest.mark.parametrize("q, level", [(1, 0), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("case", GROUP_CASES[:2], ids=lambda c: c[0])
+    def test_memory_constant_picks_the_kept_level(self, case, q, level, paired, kind,
+                                                  monkeypatch):
+        _, net, demands, pairs = case
+        n_groups = len(pairs) if paired else net.n_edges
+        root = solve_throughput(net, demands).tableau
+        size = root.body.nbytes + root.rhs.nbytes + root.cost_row.nbytes
+        # level 1 fits, level 2 does not (the latency tableau has two more rows)
+        monkeypatch.setattr(robust, "MAX_WARM_BYTES", 0 if level == 0 else 2 * n_groups * size)
+        got, want, warm = _walk_warm(case, q, paired, kind)
+        assert not isinstance(want[0], list)
+        assert warm.below == q - level
+        # a first-level node needs a later group to complete a q=2 scenario
+        assert len(warm.nodes) == (1 if level == 0 else n_groups - 1)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+
+    @pytest.mark.parametrize("kind", ["throughput", "latency"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
+    def test_workers_print_identical_output(self, case, q, kind):
+        for paired in (False, True):
+            seq, _, _ = _walk_warm(case, q, paired, kind, workers=1, cold=False)
+            par, _, _ = _walk_warm(case, q, paired, kind, workers=2, cold=False)
+            for a, b in zip(seq, par):
+                if isinstance(a, list):
+                    assert a == b
+                    continue
+                assert serialize_report(a) == serialize_report(b)
+                assert serialize_report(a, "csv") == serialize_report(b, "csv")
+
+    def test_threads_keep_every_node(self):
+        # the threads of one evaluation pop and store kept nodes in shared dicts
+        _, net, demands, _ = GROUP_CASES[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            warm, seq = robust.WarmStart(), robust.WarmStart()
+            for caps in _capacity_path(net, seed=5, steps=4):
+                got = robust_throughput(net, demands, 1, b_override=caps, warm=warm, workers=4)
+                want = robust_throughput(net, demands, 1, b_override=caps, warm=seq)
+                assert sorted(warm.nodes) == sorted(seq.nodes)
+                assert len(warm.nodes) == net.n_edges
+                assert serialize_report(got) == serialize_report(want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_kept_nodes_are_resolved_through_the_robust_module(self, monkeypatch):
+        _, net, demands, _ = GROUP_CASES[1]
+        warm = robust.WarmStart()
+        robust_throughput(net, demands, 1, warm=warm)
+        calls = []
+        original = robust.dual_simplex
+
+        def counted(tableau, *args, **kwargs):
+            calls.append(tableau)
+            return original(tableau, *args, **kwargs)
+
+        monkeypatch.setattr(robust, "dual_simplex", counted)
+        kept = [tableau for _, tableau in warm.nodes.values()]
+        robust_throughput(net, demands, 1, b_override=net.capacities + 1.0, warm=warm)
+        assert len(calls) == len(kept) == net.n_edges
+        assert all(a is b for a, b in zip(calls, kept))
+
+    def test_reports_are_not_changed_by_later_evaluations(self):
+        _, net, demands, _ = GROUP_CASES[1]
+        warm = robust.WarmStart()
+        first = robust_throughput(net, demands, 1, warm=warm)
+        kept = {id(tableau) for _, tableau in warm.nodes.values()}
+        assert id(first.context.worst_tableau) not in kept
+        before = first.context.worst_tableau.copy()
+        robust_throughput(net, demands, 1, b_override=net.capacities + 5.0, warm=warm)
+        after = first.context.worst_tableau
+        np.testing.assert_array_equal(after.rhs, before.rhs)
+        np.testing.assert_array_equal(after.basic_vars, before.basic_vars)
+        assert after.cost_corner == before.cost_corner
+
+    def test_rejects_another_tree(self):
+        _, net, demands, pairs = GROUP_CASES[0]
+        warm = robust.WarmStart()
+        robust_throughput(net, demands, 1, warm=warm)
+        for q, groups in ((2, None), (1, pairs)):
+            with pytest.raises(ValueError):
+                robust_throughput(net, demands, q, groups=groups, warm=warm)
+
+    def test_failed_evaluation_restarts_cold(self, net_c, demand_c, monkeypatch):
+        warm = robust.WarmStart()
+        robust_throughput(net_c, demand_c, 1, warm=warm)
+
+        def failing(tableau, max_pivots=None):
+            raise SolverError("pivot cap")
+
+        caps = net_c.capacities + np.arange(net_c.n_edges)
+        with monkeypatch.context() as patch:
+            patch.setattr(robust, "dual_simplex", failing)
+            with pytest.raises(SolverError):
+                robust_throughput(net_c, demand_c, 1, b_override=caps, warm=warm)
+        assert warm.caps is None
+        _assert_same(robust_throughput(net_c, demand_c, 1, b_override=caps, warm=warm),
+                     robust_throughput(net_c, demand_c, 1, b_override=caps))

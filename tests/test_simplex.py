@@ -10,6 +10,7 @@ from robustflow import (
     dual_simplex,
     primal_simplex,
     rhs_sensitivity,
+    shift_rhs,
     tighten_rhs,
 )
 from robustflow.errors import (
@@ -151,6 +152,81 @@ class TestTightenRhs:
             tighten_rhs(t, "nope", 1.0)
         with pytest.raises(ValueError):
             tighten_rhs(t, 0, -1.0)
+
+
+class TestShiftRhs:
+    """Signed shifts of capacity rows, checked against cold solves."""
+
+    def optimal(self, n=8, seed=1):
+        net, demands = ring_chords_instance(n, seed)
+        tableau = solve_throughput(net, demands).tableau
+        slack_basic = {e: tableau.basic_row_of(tableau.constraint_slacks[e]) is not None
+                       for e in range(net.n_edges)}
+        return net, demands, tableau, slack_basic
+
+    def resolved(self, tableau, increase):
+        shifted = tableau.copy()
+        shift_rhs(shifted, increase)
+        np.testing.assert_array_equal(shifted.basic_vars, tableau.basic_vars)
+        np.testing.assert_array_equal(shifted.cost_row, tableau.cost_row)
+        out = dual_simplex(shifted)
+        assert out.status is Status.OPTIMAL
+        return out.objective
+
+    @pytest.mark.parametrize("basic", [True, False])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_single_slack_matches_cold(self, basic, sign):
+        net, demands, tableau, slack_basic = self.optimal()
+        edges = [e for e, b in slack_basic.items() if b is basic]
+        assert edges
+        for e in edges:
+            caps = net.capacities
+            d = sign * 0.5 * caps[e]
+            caps[e] += d
+            cold = solve_throughput(net, demands, caps).lambda_star
+            assert -self.resolved(tableau, {e: d}) == pytest.approx(cold, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_many_slacks_both_signs_match_cold(self, seed):
+        net, demands, tableau, slack_basic = self.optimal(seed=seed)
+        rng = np.random.default_rng(seed)
+        assert len(set(slack_basic.values())) == 2  # basic and non-basic slacks
+        for _ in range(5):
+            d = rng.uniform(-0.9, 2.0, size=net.n_edges) * net.capacities
+            d[rng.random(net.n_edges) < 0.3] = 0.0
+            caps = net.capacities + d
+            cold = solve_throughput(net, demands, caps).lambda_star
+            increase = {e: d[e] for e in np.flatnonzero(d).tolist()}
+            assert -self.resolved(tableau, increase) == pytest.approx(cold, abs=1e-9)
+
+    def test_zero_and_empty_shifts_change_nothing(self):
+        _, _, tableau, _ = self.optimal()
+        for increase in ({}, {0: 0.0, 1: 0.0}):
+            shifted = tableau.copy()
+            shift_rhs(shifted, increase)
+            np.testing.assert_array_equal(shifted.rhs, tableau.rhs)
+            assert shifted.cost_corner == tableau.cost_corner
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (8, 2), (10, 3)])
+    def test_tighten_is_shift_by_minus_delta_bit_for_bit(self, n, seed):
+        net, _, tableau, slack_basic = self.optimal(n, seed)
+        assert len(set(slack_basic.values())) == 2
+        for e in range(net.n_edges):
+            for delta in (net.capacities[e], 0.37):
+                tightened = tighten_rhs(tableau, e, delta)
+                shifted = tableau.copy()
+                shift_rhs(shifted, {e: -delta})
+                for name in ("rhs", "body", "cost_row", "basic_vars", "nonbasic_vars"):
+                    assert getattr(tightened, name).tobytes() == getattr(shifted, name).tobytes()
+                assert tightened.cost_corner == shifted.cost_corner
+                assert tableau.rhs.tobytes() != tightened.rhs.tobytes()
+
+    def test_unknown_constraint(self):
+        _, _, tableau, _ = self.optimal()
+        before = tableau.rhs.copy()
+        with pytest.raises(UnknownConstraint):
+            shift_rhs(tableau, {0: 1.0, "nope": 1.0})
+        np.testing.assert_array_equal(tableau.rhs, before)
 
 
 class TestAddCutRow:
