@@ -35,7 +35,6 @@ from .flows import (
 )
 from .robust import (
     RobustReport,
-    enumerate_scenarios,
     robust_latency_linear,
     robust_throughput,
     worst_scenario_subgradient,
@@ -75,7 +74,6 @@ __all__ = [
     "build_throughput_tableau",
     "demand_laplacian",
     "dual_simplex",
-    "enumerate_scenarios",
     "eval_latency",
     "incidence_matrix",
     "load_balance_from_throughput",

@@ -47,12 +47,6 @@ def _fmt(value):
 _SECTION_RE = re.compile(r"^([A-Z_]+)\s*\(\s*$")
 
 
-def _tokenize_entry(line, lineno):
-    """Split an entry line into tokens, keeping parentheses as tokens."""
-    tokens = re.findall(r"\(|\)|[^\s()]+", line)
-    return tokens
-
-
 def _sndlib_entries(text):
     """Yield (section, tokens, lineno) for every entry line."""
     section = None
@@ -74,7 +68,8 @@ def _sndlib_entries(text):
         if section is None:
             # headers like "META (" variants or stray tokens outside sections
             continue
-        yield section, _tokenize_entry(line, lineno), lineno
+        # tokens, with each parenthesis a token of its own
+        yield section, re.findall(r"\(|\)|[^\s()]+", line), lineno
 
 
 def _floats_between_parens(tokens, lineno):
@@ -257,7 +252,7 @@ def _scenario_key(scenario):
     return ";".join(str(e) for e in scenario)
 
 
-def serialize_report(report, fmt="json", extra=None):
+def serialize_report(report, fmt="json"):
     """Deterministic JSON or CSV encoding of a robust evaluation report."""
     if fmt == "json":
         payload = {
@@ -271,8 +266,6 @@ def serialize_report(report, fmt="json", extra=None):
                 _scenario_key(s): _fmt(v)
                 for s, v in sorted(report.per_scenario_values.items())
             }
-        if extra:
-            payload.update(extra)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         out = io.StringIO()

@@ -88,13 +88,6 @@ class RobustReport:
     context: EvalContext | None = field(default=None, repr=False, compare=False)
 
 
-def enumerate_scenarios(m, q):
-    """All C(m, q) failure scenarios in lexicographic order."""
-    if not (0 <= q <= m):
-        raise ValueError("q must lie in [0, m]")
-    return combinations(range(m), q)
-
-
 def _check_gate(m, groups, q, allow_large, max_scenarios):
     """The failure groups, singletons ``(e,)`` of the m edges when ``groups``
     is None, once q and the scenario count C(len(groups), q) pass the gate."""
@@ -265,8 +258,7 @@ def _keep_level(warm, root, groups, q):
     """Make ``warm`` keep the nodes of the deepest level d <= q whose
     C(len(groups), d) tableaux, each the size of ``root``, fit in
     ``MAX_WARM_BYTES``; the root itself when no level d >= 1 fits."""
-    size = sum(a.nbytes for a in (root.body, root.rhs, root.cost_row,
-                                  root.basic_vars, root.nonbasic_vars))
+    size = sum(a.nbytes for a in (root.tab, root.basic_vars, root.nonbasic_vars))
     depth = next((d for d in range(q, 0, -1)
                   if math.comb(len(groups), d) * size <= MAX_WARM_BYTES), 0)
     warm.tree = (q, groups)

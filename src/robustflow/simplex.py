@@ -1,32 +1,31 @@
 """Dense tableau simplex engine with dual-simplex warm starting.
 
-The tableau stores the dictionary form
+A tableau stores the dictionary form ``x_B + body @ x_N = rhs`` together
+with the reduced costs of a minimization objective,
+``value = -cost_corner + cost_row @ x_N``, so the current vertex
+(x_N = 0, x_B = rhs) has objective ``-cost_corner``.  The four pieces live
+in one float array ``tab = [[body, rhs], [cost_row, cost_corner]]``: a pivot
+is one rank-1 update of ``tab`` and a copy copies one array.  The tableau is
+primal feasible when ``rhs >= 0`` and dual feasible when ``cost_row >= 0``,
+both within ``FEAS_TOL``.
 
-    x_B + body @ x_N = rhs
+Primal and dual simplex run one loop, and both solve the tableau they are
+given in place.  The dual simplex is the primal simplex on the transposed
+array ``tab.T`` (Chvatal 1983, ch. 10): there the rhs prices the columns and
+a negated tableau row is the ratio line.  Pricing is exact steepest edge
+(Forrest & Goldfarb 1992), the argmax of ``c_j**2 / (1 + ||line_j||**2)``
+with the norms recomputed each iteration.  After ``NONIMPROVING_LIMIT``
+consecutive pivots that leave the objective unchanged it falls back to
+Bland's smallest-index rule until the objective moves, which guarantees
+termination on degenerate LPs.  Ratio tests take the minimum ratio, ties
+broken by the smallest variable index.
 
-together with the reduced costs of a minimization objective,
-
-    value = -cost_corner + cost_row @ x_N,
-
-so the current vertex (x_N = 0, x_B = rhs) has objective ``-cost_corner``.
-The tableau is primal feasible when ``rhs >= 0`` and dual feasible when
-``cost_row >= 0``, both within ``FEAS_TOL``.
-
-Both solvers price by exact steepest edge (Forrest & Goldfarb 1992) through
-one selection helper: primal simplex enters the column maximizing
-``c_j**2 / (1 + ||body[:, j]||**2)`` and dual simplex removes the row
-maximizing ``rhs_i**2 / (1 + ||body[i, :]||**2)``, with the norms recomputed
-each iteration.  After ``NONIMPROVING_LIMIT`` consecutive pivots that leave
-the objective unchanged, both fall back to Bland's smallest-index rule until
-the objective moves, which guarantees termination on degenerate LPs.  Ratio
-tests take the minimum ratio, ties broken by the smallest variable index.
-
-Besides primal and dual simplex the module provides the two warm-start
-transformations used throughout the package: a signed shift of the
-right-hand sides of inequalities (via their slack variables; deleting an
-edge is a shift by minus its capacity) and appending a new inequality row
-to an optimal tableau, plus the sensitivity of the optimal value with
-respect to a right-hand-side entry.
+The warm-start transformations used throughout the package are a signed
+shift of the right-hand sides of inequalities via their slack variables
+(``shift_rhs`` in place, ``tighten_rhs`` on a copy; deleting an edge is a
+shift by minus its capacity) and appending an inequality row to an optimal
+tableau; ``rhs_sensitivity`` reads the derivative of the optimal value with
+respect to a right-hand side.
 """
 
 from __future__ import annotations
@@ -65,27 +64,48 @@ class SimplexTableau:
     the variable expressed by row ``r`` and ``nonbasic_vars[j]`` the variable
     of column ``j``.  ``constraint_slacks`` maps constraint ids of the
     original inequalities to the global index of their slack variable, which
-    is what ``shift_rhs`` and ``rhs_sensitivity`` operate on.
+    is what ``shift_rhs`` and ``rhs_sensitivity`` operate on.  The numbers
+    live in one array ``tab``; ``body``, ``rhs`` and ``cost_row`` are
+    read-only views of it.
     """
 
     def __init__(self, basic_vars, nonbasic_vars, body, rhs, cost_row,
                  cost_corner=0.0, constraint_slacks=None, n_original=None):
         self.basic_vars = np.asarray(basic_vars, dtype=int).copy()
         self.nonbasic_vars = np.asarray(nonbasic_vars, dtype=int).copy()
-        self.body = np.array(body, dtype=float, ndmin=2).copy()
-        self.rhs = np.asarray(rhs, dtype=float).copy()
-        self.cost_row = np.asarray(cost_row, dtype=float).copy()
-        self.cost_corner = float(cost_corner)
+        shape = (len(self.basic_vars), len(self.nonbasic_vars))
+        body = np.atleast_2d(np.asarray(body, dtype=float))
+        if body.shape != shape:
+            raise DimensionMismatch("body shape does not match the variable partition")
+        if np.shape(rhs) != shape[:1]:
+            raise DimensionMismatch("rhs length does not match the row count")
+        if np.shape(cost_row) != shape[1:]:
+            raise DimensionMismatch("cost row length does not match the column count")
+        self.tab = np.empty((shape[0] + 1, shape[1] + 1))
+        self.tab[:-1, :-1] = body
+        self.tab[:-1, -1] = rhs
+        self.tab[-1, :-1] = cost_row
+        self.tab[-1, -1] = cost_corner
         self.constraint_slacks = dict(constraint_slacks or {})
         self.n_original = (self.n_total if n_original is None else int(n_original))
-        if self.body.shape != (len(self.basic_vars), len(self.nonbasic_vars)):
-            raise DimensionMismatch("body shape does not match the variable partition")
-        if self.rhs.shape != (len(self.basic_vars),):
-            raise DimensionMismatch("rhs length does not match the row count")
-        if self.cost_row.shape != (len(self.nonbasic_vars),):
-            raise DimensionMismatch("cost row length does not match the column count")
 
     # -- bookkeeping --------------------------------------------------
+
+    @property
+    def body(self):
+        return _read_only(self.tab[:-1, :-1])
+
+    @property
+    def rhs(self):
+        return _read_only(self.tab[:-1, -1])
+
+    @property
+    def cost_row(self):
+        return _read_only(self.tab[-1, :-1])
+
+    @property
+    def cost_corner(self):
+        return float(self.tab[-1, -1])
 
     @property
     def n_rows(self):
@@ -105,14 +125,15 @@ class SimplexTableau:
         return -self.cost_corner
 
     def copy(self):
-        # the arrays are already validated, so skip __init__
+        return self._with(self.basic_vars.copy(), self.tab.copy())
+
+    def _with(self, basic_vars, tab):
+        """A tableau of ``basic_vars`` and ``tab`` (owned, already valid)
+        over copies of the other fields."""
         t = object.__new__(SimplexTableau)
-        t.basic_vars = self.basic_vars.copy()
+        t.basic_vars = basic_vars
         t.nonbasic_vars = self.nonbasic_vars.copy()
-        t.body = self.body.copy()
-        t.rhs = self.rhs.copy()
-        t.cost_row = self.cost_row.copy()
-        t.cost_corner = self.cost_corner
+        t.tab = tab
         t.constraint_slacks = dict(self.constraint_slacks)
         t.n_original = self.n_original
         return t
@@ -132,10 +153,14 @@ class SimplexTableau:
         hits = np.nonzero(self.nonbasic_vars == var)[0]
         return int(hits[0]) if hits.size else None
 
+    def _n_vars(self):
+        """One past the largest variable index."""
+        return int(max(self.basic_vars.max(initial=-1),
+                       self.nonbasic_vars.max(initial=-1))) + 1
+
     def solution_point(self):
         """Full variable vector of the current vertex (non-basics at zero)."""
-        point = np.zeros(int(max(self.basic_vars.max(initial=-1),
-                                 self.nonbasic_vars.max(initial=-1))) + 1)
+        point = np.zeros(self._n_vars())
         point[self.basic_vars] = self.rhs
         return point
 
@@ -147,37 +172,36 @@ class SimplexTableau:
         current basis; feasibility of the vertex is unaffected.
         """
         full_cost = np.asarray(full_cost, dtype=float)
-        c = np.zeros(int(max(self.basic_vars.max(initial=-1),
-                             self.nonbasic_vars.max(initial=-1))) + 1)
+        c = np.zeros(self._n_vars())
         c[: len(full_cost)] = full_cost
         c_b = c[self.basic_vars]
-        self.cost_row = c[self.nonbasic_vars] - c_b @ self.body
-        self.cost_corner = -float(c_b @ self.rhs)
+        self.tab[-1, :-1] = c[self.nonbasic_vars] - c_b @ self.body
+        self.tab[-1, -1] = -float(c_b @ self.rhs)
 
     # -- pivoting -----------------------------------------------------
 
     def pivot(self, row, col):
-        """Exchange basic_vars[row] with nonbasic_vars[col]."""
-        piv = self.body[row, col]
+        """Exchange basic_vars[row] with nonbasic_vars[col] by one rank-1
+        update of ``tab``."""
+        tab = self.tab
+        piv = tab[row, col]
         if abs(piv) <= PIVOT_TOL:
             raise SingularBasis(f"pivot element {piv!r} below tolerance")
-        new_row = self.body[row] / piv
+        new_row = tab[row] / piv
         new_row[col] = 1.0 / piv
-        leaving_col = self.body[:, col].copy()
-        self.body[:, col] = 0.0
-        self.body -= np.outer(leaving_col, new_row)
-        self.body[row] = new_row
-        new_rhs = self.rhs[row] / piv
-        self.rhs -= leaving_col * new_rhs
-        self.rhs[row] = new_rhs
-        c_col = self.cost_row[col]
-        self.cost_row[col] = 0.0
-        self.cost_row -= c_col * new_row
-        self.cost_corner -= c_col * new_rhs
+        leaving_col = tab[:, col].copy()
+        tab[:, col] = 0.0
+        tab -= np.outer(leaving_col, new_row)
+        tab[row] = new_row
         self.basic_vars[row], self.nonbasic_vars[col] = (
             self.nonbasic_vars[col],
             self.basic_vars[row],
         )
+
+
+def _read_only(view):
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -192,18 +216,10 @@ def default_max_pivots(tableau):
     return 10 * (tableau.n_rows + tableau.n_nonbasic) ** 2
 
 
-def _pivot(t, row, col, nonimproving):
-    """Pivot and return the updated count of consecutive non-improving pivots."""
-    corner = t.cost_corner
-    t.pivot(row, col)
-    return nonimproving + 1 if abs(t.cost_corner - corner) <= FEAS_TOL else 0
-
-
 def _choose(values, lines, labels, bland):
     """Position of the pricing choice among ``values < -FEAS_TOL``, or None.
 
-    ``lines`` holds the tableau line of each candidate as a column: ``body``
-    for the primal entering column, ``body.T`` for the dual leaving row.
+    ``lines`` holds the tableau line of each candidate as a column.
     Steepest edge takes the argmax of ``values**2 / (1 + ||line||**2)``, with
     the norms recomputed exactly over the whole array; ``bland`` takes the
     candidate with the smallest variable index in ``labels`` instead.
@@ -217,71 +233,58 @@ def _choose(values, lines, labels, bland):
     return int(np.argmax(np.where(eligible, values * values / (1.0 + norms), -1.0)))
 
 
-def primal_simplex(tableau, max_pivots=None):
-    """Run primal simplex on a primal-feasible tableau.
+def _simplex(t, max_pivots, dual):
+    """Primal simplex on ``a = t.tab``, or on ``a = t.tab.T`` when ``dual``.
 
-    The entering column is priced by steepest edge, falling back to Bland's
-    smallest index after ``NONIMPROVING_LIMIT`` consecutive pivots that
-    leave the objective unchanged.  The ratio test takes the minimum ratio
-    with ties broken by the smallest variable index.
+    A column j of ``a`` with a negative price ``a[-1, j]`` enters, and the
+    minimum ratio ``a[i, -1] / line[i]`` over the positive entries of its
+    line picks the row i that leaves.  On the transpose the prices are the
+    rhs, the ratio numerators the reduced costs and the line is the negated
+    tableau row: the dual simplex, with ``basic_vars`` labelling the columns.
     """
-    t = tableau.copy()
-    if not t.is_primal_feasible():
-        raise NotPrimalFeasible(f"rhs has negative entries: min={t.rhs.min()}")
+    a = t.tab.T if dual else t.tab
+    col_vars, row_vars = (t.basic_vars, t.nonbasic_vars) if dual else (
+        t.nonbasic_vars, t.basic_vars)
+    sign = -1.0 if dual else 1.0
     if max_pivots is None:
         max_pivots = default_max_pivots(t)
     pivots = nonimproving = 0
     while True:
-        col = _choose(t.cost_row, t.body, t.nonbasic_vars,
-                      nonimproving >= NONIMPROVING_LIMIT)
-        if col is None:
+        j = _choose(a[-1, :-1], a[:-1, :-1], col_vars, nonimproving >= NONIMPROVING_LIMIT)
+        if j is None:
             return SolveOutcome(Status.OPTIMAL, t, t.objective, pivots)
-        column = t.body[:, col]
-        rows = np.nonzero(column > PIVOT_TOL)[0]
+        line = sign * a[:-1, j]
+        rows = np.nonzero(line > PIVOT_TOL)[0]
         if rows.size == 0:
-            return SolveOutcome(Status.UNBOUNDED, t, t.objective, pivots)
-        ratios = t.rhs[rows] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + FEAS_TOL]
-        row = int(ties[np.argmin(t.basic_vars[ties])])
+            status = Status.INFEASIBLE if dual else Status.UNBOUNDED
+            return SolveOutcome(status, t, t.objective, pivots)
+        ratios = a[rows, -1] / line[rows]
+        ties = rows[ratios <= ratios.min() + FEAS_TOL]
+        i = int(ties[np.argmin(row_vars[ties])])
         if pivots >= max_pivots:
             return SolveOutcome(Status.ITERATION_LIMIT, t, t.objective, pivots)
-        nonimproving = _pivot(t, row, col, nonimproving)
+        corner = t.cost_corner
+        t.pivot(*((j, i) if dual else (i, j)))
+        nonimproving = nonimproving + 1 if abs(t.cost_corner - corner) <= FEAS_TOL else 0
         pivots += 1
+
+
+def primal_simplex(tableau, max_pivots=None):
+    """Run primal simplex on a primal-feasible tableau, in place; the
+    outcome holds ``tableau`` itself."""
+    if not tableau.is_primal_feasible():
+        raise NotPrimalFeasible(f"rhs has negative entries: min={tableau.rhs.min()}")
+    return _simplex(tableau, max_pivots, dual=False)
 
 
 def dual_simplex(tableau, max_pivots=None):
-    """Run dual simplex on a dual-feasible tableau.
-
-    The leaving row is priced by steepest edge over the rows with negative
-    rhs, falling back to Bland's smallest basic index after
-    ``NONIMPROVING_LIMIT`` consecutive pivots that leave the objective
-    unchanged.  The entering column is chosen by the dual ratio test with
-    ties broken by the smallest variable index.  On INFEASIBLE the returned
-    tableau contains a certificate row (negative rhs, all coefficients >= 0).
-    """
-    t = tableau.copy()
-    if not t.is_dual_feasible():
-        raise NotDualFeasible(f"cost row has negative entries: min={t.cost_row.min()}")
-    if max_pivots is None:
-        max_pivots = default_max_pivots(t)
-    pivots = nonimproving = 0
-    while True:
-        row = _choose(t.rhs, t.body.T, t.basic_vars,
-                      nonimproving >= NONIMPROVING_LIMIT)
-        if row is None:
-            return SolveOutcome(Status.OPTIMAL, t, t.objective, pivots)
-        neg = np.nonzero(t.body[row] < -PIVOT_TOL)[0]
-        if neg.size == 0:
-            return SolveOutcome(Status.INFEASIBLE, t, t.objective, pivots)
-        ratios = t.cost_row[neg] / (-t.body[row, neg])
-        best = ratios.min()
-        ties = neg[ratios <= best + FEAS_TOL]
-        col = int(ties[np.argmin(t.nonbasic_vars[ties])])
-        if pivots >= max_pivots:
-            return SolveOutcome(Status.ITERATION_LIMIT, t, t.objective, pivots)
-        nonimproving = _pivot(t, row, col, nonimproving)
-        pivots += 1
+    """Run dual simplex on a dual-feasible tableau, in place; the outcome
+    holds ``tableau`` itself.  On INFEASIBLE it contains a certificate row
+    (negative rhs, all coefficients >= 0)."""
+    if not tableau.is_dual_feasible():
+        raise NotDualFeasible(
+            f"cost row has negative entries: min={tableau.cost_row.min()}")
+    return _simplex(tableau, max_pivots, dual=True)
 
 
 def shift_rhs(tableau, increase):
@@ -290,8 +293,8 @@ def shift_rhs(tableau, increase):
 
     A constraint whose slack is basic only moves that slack's value:
     ``rhs[row] += d``.  Over the constraints whose slacks are non-basic, at
-    columns ``cols``, the whole rhs column shifts by ``body[:, cols] @ d`` and
-    the corner by ``cost_row[cols] @ d``.  The basis and the cost row are
+    columns ``cols``, the last column of ``tab`` (the rhs and the corner)
+    shifts by ``tab[:, cols] @ d``.  The basis and the cost row are
     untouched, so a dual-feasible tableau stays dual feasible and is ready
     for ``dual_simplex``.
     """
@@ -301,21 +304,21 @@ def shift_rhs(tableau, increase):
         raise UnknownConstraint(
             f"no slack registered for constraint {missing.args[0]!r}") from None
     d = np.fromiter(increase.values(), dtype=float, count=slacks.size)
+    tab = tableau.tab
     which, rows = (slacks[:, None] == tableau.basic_vars).nonzero()
     if rows.size:
-        tableau.rhs[rows] += d[which]
+        tab[rows, -1] += d[which]
     if rows.size < slacks.size:
         which, cols = (slacks[:, None] == tableau.nonbasic_vars).nonzero()
-        d = d[which]
-        tableau.rhs += tableau.body[:, cols].dot(d)
-        tableau.cost_corner += float(tableau.cost_row[cols].dot(d))
+        tab[:, -1] += tab[:, cols] @ d[which]
 
 
 def tighten_rhs(tableau, constraint_id, delta):
     """Reduce the right-hand side of an original inequality by ``delta``.
 
-    Returns a new tableau for the daughter LP: a copy shifted by
-    ``shift_rhs`` with ``-delta``.  If the constraint's slack is basic only
+    Returns a new tableau for the daughter LP, even for ``delta = 0``: a
+    copy shifted by ``shift_rhs`` with ``-delta``, which the in-place
+    solvers may then pivot.  If the constraint's slack is basic only
     its value shrinks, and the tableau stays optimal while that value stays
     non-negative; otherwise the rhs column and the corner shift.  Either way
     the result is dual feasible and ready for ``dual_simplex``.
@@ -363,18 +366,13 @@ def add_cut_row(tableau, a_coeffs, b0, constraint_id=None):
         )
     if not tableau.is_dual_feasible():
         raise NotDualFeasible("cut rows may only be added to an optimal tableau")
-    t = tableau.copy()
-    hi = int(max(t.basic_vars.max(initial=-1), t.nonbasic_vars.max(initial=-1))) + 1
-    a = np.zeros(hi)
+    slack = tableau._n_vars()
+    a = np.zeros(slack)
     a[: a_coeffs.size] = a_coeffs
-    a_basic = a[t.basic_vars]
-    a_nonbasic = a[t.nonbasic_vars]
-    new_row = a_nonbasic - t.body.T @ a_basic
-    new_rhs = float(b0) - float(a_basic @ t.rhs)
-    slack = hi
-    t.basic_vars = np.append(t.basic_vars, slack)
-    t.body = np.vstack([t.body, new_row])
-    t.rhs = np.append(t.rhs, new_rhs)
+    a_basic = a[tableau.basic_vars]
+    new_row = np.append(a[tableau.nonbasic_vars], b0) - a_basic @ tableau.tab[:-1]
+    t = tableau._with(np.append(tableau.basic_vars, slack),
+                      np.insert(tableau.tab, tableau.n_rows, new_row, axis=0))
     if constraint_id is not None:
         t.constraint_slacks[constraint_id] = slack
     return t

@@ -99,13 +99,12 @@ def solve_standard_form(lp, max_pivots=None):
             pivots += 1
             row += 1
         else:
-            t.basic_vars = np.delete(t.basic_vars, row)
-            t.body = np.delete(t.body, row, axis=0)
-            t.rhs = np.delete(t.rhs, row)
+            t = SimplexTableau(np.delete(t.basic_vars, row), t.nonbasic_vars,
+                               np.delete(t.body, row, axis=0), np.delete(t.rhs, row),
+                               t.cost_row, t.cost_corner, n_original=nv)
     keep = t.nonbasic_vars < nv
-    t.nonbasic_vars = t.nonbasic_vars[keep]
-    t.body = t.body[:, keep]
-    t.cost_row = t.cost_row[keep]
+    t = SimplexTableau(t.basic_vars, t.nonbasic_vars[keep], t.body[:, keep], t.rhs,
+                       t.cost_row[keep], t.cost_corner, n_original=nv)
     t.set_cost(lp.cost)
     out = primal_simplex(t, max_pivots)
     return SolveOutcome(out.status, out.tableau, out.objective, pivots + out.pivot_count)

@@ -266,6 +266,30 @@ class TestBenchCommand:
         assert len(lines) == 4  # header + 2 scenarios + totals
 
 
+class TestRing6PivotCounts:
+    """Pivot counts printed on ring6.  They are deterministic, so any change
+    in the primal or the dual pivot sequence moves them."""
+
+    @pytest.mark.parametrize("argv, key, pivots", [
+        (["throughput"], "pivots", 17),
+        (["robust-throughput", "--q", "1"], "pivots_total", 46),
+        (["robust-throughput", "--q", "2"], "pivots_total", 368),
+        (["robust-throughput", "--q", "1", "--paired-failure"], "pivots_total", 40),
+        (["robust-throughput", "--q", "2", "--paired-failure"], "pivots_total", 171),
+        (["robust-latency", "--q", "1", "--beta", "0.3"], "pivots_total", 30),
+    ])
+    def test_printed_pivots(self, capsys, argv, key, pivots):
+        code, out, _ = run(capsys, argv[0], "--network", RING6, *argv[1:])
+        assert code == 0
+        assert json.loads(out)[key] == pivots
+
+    def test_bench_total_pivots(self, capsys):
+        code, out, _ = run(capsys, "bench", "--network", RING6)
+        assert code == 0
+        label, _, warm, cold = out.splitlines()[-1].split(",")[:4]
+        assert (label, warm, cold) == ("TOTAL", "29", "347")
+
+
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "throughput", "--network", "/nope.json")

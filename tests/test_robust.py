@@ -11,7 +11,6 @@ from robustflow import (
     LatencyConfig,
     LatencyKind,
     Network,
-    enumerate_scenarios,
     robust_latency_linear,
     robust_throughput,
     solve_latency_linear,
@@ -25,21 +24,6 @@ from robustflow.robust import _TreeAccumulator, bench_robust_throughput
 from conftest import cold_throughput, ring_chords_instance
 
 RING6 = Path(__file__).parent / "data" / "ring6.txt"
-
-
-class TestEnumerateScenarios:
-    def test_singletons(self):
-        assert list(enumerate_scenarios(3, 1)) == [(0,), (1,), (2,)]
-
-    def test_pairs(self):
-        assert list(enumerate_scenarios(3, 2)) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_q_zero_is_nominal(self):
-        assert list(enumerate_scenarios(5, 0)) == [()]
-
-    def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            list(enumerate_scenarios(3, 4))
 
 
 class TestRobustThroughput:

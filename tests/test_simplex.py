@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from robustflow.errors import (
     SingularBasis,
     UnknownConstraint,
 )
-from robustflow import robust_throughput, simplex, solve_throughput
+from robustflow import parse_sndlib_native, robust_throughput, simplex, solve_throughput
 from robustflow.flows import build_throughput_tableau
 
 from conftest import (
@@ -325,6 +327,55 @@ class TestStandardFormSolver:
         out = solve_standard_form(lp)
         assert out.status is Status.OPTIMAL
         assert out.objective == pytest.approx(1.0)
+
+
+class TestInPlace:
+    """The solvers pivot the tableau they are given; tighten_rhs copies."""
+
+    def test_primal_returns_its_argument(self):
+        t = single_row_tableau(4.0, 3.0, -1.0)
+        out = primal_simplex(t)
+        assert out.tableau is t
+        assert out.pivot_count == 1
+        assert t.basic_vars.tolist() == [0]
+
+    def test_dual_returns_its_argument(self):
+        t = tighten_rhs(single_row_tableau(1.0, 5.0, 1.0, "cap"), "cap", 7.0)
+        out = dual_simplex(t)
+        assert out.tableau is t
+        assert out.status is Status.INFEASIBLE
+        assert t.rhs[0] == pytest.approx(-2.0)
+
+    def test_tighten_rhs_copies_even_at_zero_delta(self):
+        t = single_row_tableau(1.0, 5.0, 1.0, "cap")
+        t2 = tighten_rhs(t, "cap", 0.0)
+        assert t2 is not t
+        assert not np.shares_memory(t2.tab, t.tab)
+
+    def test_views_are_read_only(self):
+        t = single_row_tableau(4.0, 3.0, -1.0)
+        for view in (t.body, t.rhs, t.cost_row):
+            assert np.shares_memory(view, t.tab)
+            with pytest.raises(ValueError):
+                view[...] = 0.0
+        assert isinstance(t.cost_corner, float)
+
+    @pytest.mark.parametrize("q, leaves, internal", [(1, 20, 0), (2, 190, 19)])
+    def test_tree_copies_each_node_once(self, monkeypatch, q, leaves, internal):
+        doc = parse_sndlib_native(
+            (Path(__file__).parent / "data" / "ring6.txt").read_text(), name="ring6")
+        copies = []
+        original = SimplexTableau.copy
+
+        def counted(tableau):
+            copies.append(tableau)
+            return original(tableau)
+
+        monkeypatch.setattr(SimplexTableau, "copy", counted)
+        report = robust_throughput(doc.network, doc.demands, q)
+        assert report.scenarios_evaluated == leaves
+        # one per tree node, one for the worst tableau the report keeps
+        assert len(copies) == leaves + internal + 1
 
 
 class TestTableauBasics:
