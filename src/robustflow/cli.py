@@ -175,21 +175,24 @@ def _cmd_robust_latency(args):
     return 0
 
 
+def _method_options(args):
+    """Keyword arguments of the chosen robustify method: its iteration cap
+    and, for the cutting plane, ``--tol`` when given."""
+    if args.method == "subgradient":
+        return {"steps": args.max_iters}
+    options = {"max_iters": args.max_iters}
+    if args.tol is not None:
+        options["tol"] = args.tol
+    return options
+
+
 def _cmd_robustify_throughput(args):
     doc = _load_instance(args)
-    tree = _tree_options(doc, args)
-    if args.method == "cutting-plane":
-        alloc, model, history = robustify_throughput_cutting_plane(
-            doc.network, doc.demands, args.q, args.budget,
-            tol=args.tol, max_iters=args.max_iters, **tree,
-        )
-        iterations = len(model.cuts)
-    else:
-        alloc, history = robustify_throughput_subgradient(
-            doc.network, doc.demands, args.q, args.budget,
-            steps=args.max_iters, **tree,
-        )
-        iterations = len(history)
+    method = (robustify_throughput_cutting_plane if args.method == "cutting-plane"
+              else robustify_throughput_subgradient)
+    # (allocation, [cut model,] history)
+    alloc, *_, history = method(doc.network, doc.demands, args.q, args.budget,
+                                **_method_options(args), **_tree_options(doc, args))
     _emit({
         "command": "robustify-throughput",
         "instance": doc.name,
@@ -198,7 +201,7 @@ def _cmd_robustify_throughput(args):
         "budget": _fmt(args.budget),
         "delta_b": [_fmt(v) for v in alloc.delta_b],
         "robust_lambda": _fmt(history[-1]),
-        "iterations": iterations,
+        "iterations": len(history),
     })
     return 0
 
@@ -207,9 +210,8 @@ def _cmd_robustify_latency(args):
     doc = _load_instance(args)
     cfg = _latency_config(args)
     alloc, history = robustify_latency_linear(
-        doc.network, doc.demands, args.q, args.budget, cfg,
-        method=args.method, steps=args.max_iters, tol=args.tol,
-        max_iters=args.max_iters, **_tree_options(doc, args),
+        doc.network, doc.demands, args.q, args.budget, cfg, method=args.method,
+        **_method_options(args), **_tree_options(doc, args),
     )
     _emit({
         "command": "robustify-latency",
@@ -265,7 +267,8 @@ def _add_robustify(parser):
     parser.add_argument("--method", choices=["cutting-plane", "subgradient"],
                         default="cutting-plane")
     parser.add_argument("--max-iters", type=int, default=200)
-    parser.add_argument("--tol", type=float, default=1e-7)
+    parser.add_argument("--tol", type=float,
+                        help="cutting-plane stopping tolerance (default 1e-7)")
 
 
 def build_parser():
@@ -325,10 +328,14 @@ def build_parser():
 def _validate(args):
     if getattr(args, "q", 0) < 0:
         raise InputError("q must be non-negative")
-    if getattr(args, "budget", 0.0) < 0:
-        raise InputError("budget must be non-negative")
-    if getattr(args, "tol", 1.0) <= 0:
-        raise InputError("tolerance must be positive")
+    if not 0 <= getattr(args, "budget", 0.0) < float("inf"):
+        raise InputError("budget must be finite and non-negative")
+    tol = getattr(args, "tol", None)
+    if tol is not None:
+        if args.method == "subgradient":
+            raise InputError("--tol applies only to --method cutting-plane")
+        if not 0 < tol < float("inf"):
+            raise InputError("tolerance must be finite and positive")
     if getattr(args, "workers", 1) < 1:
         raise InputError("workers must be at least 1")
 

@@ -69,10 +69,6 @@ class SaturatedEdge(DataError):
     """A nonlinear latency was evaluated at a flow at or above capacity."""
 
 
-class NoDemand(DataError):
-    """The demand matrix is identically zero."""
-
-
 # --- robust evaluation ----------------------------------------------------
 
 class ScenarioInfeasible(DataError):

@@ -88,6 +88,11 @@ class RobustReport:
     context: EvalContext | None = field(default=None, repr=False, compare=False)
 
 
+def _capacities(net, b_override):
+    """The capacities of an evaluation: ``b_override``, else the network's."""
+    return net.capacities if b_override is None else np.asarray(b_override, dtype=float)
+
+
 def _check_gate(m, groups, q, allow_large, max_scenarios):
     """The failure groups, singletons ``(e,)`` of the m edges when ``groups``
     is None, once q and the scenario count C(len(groups), q) pass the gate."""
@@ -171,7 +176,7 @@ class _Walk:
     """Depth-first warm-started walk of the scenario tree at capacities
     ``caps``.
 
-    A node tightens every edge of one more group and runs one dual solve.
+    A node copies its parent, tightens one more group and runs one dual solve.
     Scenarios are recorded as sorted edge tuples in ``acc``, infeasible ones
     in ``infeasible``; with a ``warm`` start, the optimal nodes of its kept
     level go to ``warm.nodes`` as well.
@@ -197,9 +202,10 @@ class _Walk:
             return
         last = len(self.groups) - q + 1
         for g in range(start, last if stop is None else min(stop, last)):
-            child = root
-            for e in self.groups[g]:
-                child = tighten_rhs(child, e, self.caps[e])
+            first, *rest = self.groups[g]
+            child = tighten_rhs(root, first, self.caps[first])
+            for e in rest:
+                shift_rhs(child, {e: -self.caps[e]})
             self.node(child, tuple(sorted(deleted + self.groups[g])), g + 1, q - 1)
 
     def node(self, child, path, start, q):
@@ -327,7 +333,7 @@ def _throughput_tree(net, demands, q, b_override, groups, keep_values, workers,
     """Nominal solve and scenario tree of the throughput LP: (capacities,
     pivots spent before the tree, accumulator)."""
     groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
-    caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
+    caps = _capacities(net, b_override)
 
     def nominal():
         out = _solve_cold(net, demands, caps, max_pivots)
@@ -374,7 +380,7 @@ def _robust_latency(net, demands, q, throughput, target, denom, b_override=None,
     as they were when it was filled.
     """
     groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
-    caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
+    caps = _capacities(net, b_override)
 
     def pinned():
         cost = latency_cost_vector(net, throughput.var_map)
@@ -402,7 +408,7 @@ def robust_latency_linear(net, demands, q, cfg, b_override=None, **kwargs):
     """
     if cfg.kind is not LatencyKind.LINEAR:
         raise ValueError("robust latency is only solvable for the linear model")
-    caps = net.capacities if b_override is None else np.asarray(b_override, dtype=float)
+    caps = _capacities(net, b_override)
     throughput = solve_throughput(net, demands, caps, kwargs.get("max_pivots"))
     target = cfg.beta * throughput.lambda_star
     denom = target * demands.total()

@@ -9,12 +9,11 @@ method builds an affine lower model from (value, subgradient) pairs and
 re-optimizes the master LP after each new cut with a warm-started dual
 simplex.
 
-Each objective evaluates the scenario tree through ``robust_throughput`` or
-``_robust_latency`` with one ``WarmStart`` per run.  Only the first
-evaluation builds and solves the nominal LP; every later one shifts the kept
-node tableaux by the capacity change and re-optimizes them by dual simplex,
-as the increments change only right-hand sides.  The warm start lives in the
-objective's closure and ends with the run.
+One objective serves both kinds.  Each evaluation walks the scenario tree
+once, through ``robust_throughput`` or ``_robust_latency`` with one
+``WarmStart`` per run: only the first builds and solves the nominal LP, and
+every later one shifts the kept node tableaux by the capacity change and
+re-optimizes them by dual simplex (increments move only right-hand sides).
 """
 
 from __future__ import annotations
@@ -51,8 +50,11 @@ class Cut:
 
 @dataclass
 class CutModel:
+    """One cut per evaluation, the last master tableau, phi per iteration."""
+
     cuts: list = field(default_factory=list)
     master_tableau: SimplexTableau | None = None
+    phi_history: list = field(default_factory=list)
 
 
 def project_budget_simplex(v, budget):
@@ -80,8 +82,10 @@ def project_budget_simplex(v, budget):
 
 def _subgradient_descent(objective, m, budget, steps, step_rule):
     """Projected subgradient descent of a convex objective over the budget
-    simplex.  ``objective(x)`` returns (value, subgradient).  Tracks the best
-    iterate; the returned history of best values is monotone."""
+    simplex.  ``objective(x)`` returns (value, subgradient).  Returns the
+    best iterate and the monotone history of best values."""
+    if not 0 <= budget < math.inf:
+        raise ValueError("budget must be finite and non-negative")
     if step_rule is None:
         step_rule = lambda t: budget / math.sqrt(t + 1.0)
     x = np.zeros(m)
@@ -89,30 +93,18 @@ def _subgradient_descent(objective, m, budget, steps, step_rule):
     best_x, best_value = x.copy(), value
     history = [best_value]
     if budget == 0:
-        return best_x, best_value, history
+        return best_x, history
     for t in range(steps):
         x = project_budget_simplex(x - step_rule(t) * grad, budget)
         value, grad = objective(x)
         if value < best_value:
             best_value, best_x = value, x.copy()
         history.append(best_value)
-    return best_x, best_value, history
-
-
-def _analytic_first_master(f0, g0, x0, budget):
-    """Minimizer of the single-cut master: the affine function
-    f0 + <g0, x - x0> over the budget simplex puts the full budget on the
-    most negative gradient coordinate, or allocates nothing when all
-    coordinates are non-negative."""
-    x = np.zeros(g0.size)
-    j = int(np.argmin(g0))
-    if g0[j] < 0:
-        x[j] = budget
-    return x, f0 + float(g0 @ (x - x0))
+    return best_x, history
 
 
 def _cutting_plane(objective, m, budget, tol, max_iters):
-    """Piecewise-affine minimization by an expanding cut model.
+    """Piecewise-affine minimization by an expanding cut model (Kelley).
 
     Master variables are (phi_shift, x, budget slack) where the model value
     is phi = phi_shift + floor and the floor is one below the first cut's
@@ -120,18 +112,20 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
     ever binding.  Each iteration appends one cut row to the optimal master
     tableau and re-optimizes with the dual simplex method.
     """
+    if not 0 <= budget < math.inf:
+        raise ValueError("budget must be finite and non-negative")
     model = CutModel()
-    phi_history = []
     x = np.zeros(m)
     value, grad = objective(x)
     model.cuts.append(Cut(value, grad.copy(), x.copy()))
     best_x, best_value = x.copy(), value
     history = [best_value]
     if budget == 0:
-        return best_x, best_value, model, history, phi_history
+        return best_x, model, history
 
-    x_analytic, phi_analytic = _analytic_first_master(value, grad, x, budget)
-    floor = phi_analytic - 1.0
+    # the first cut's minimum puts the budget on its most negative coordinate
+    phi_first = value + budget * min(0.0, grad.min())
+    floor = phi_first - 1.0
 
     # master over (phi_shift, x_1..x_m, budget slack); only the budget row yet
     n_master = m + 2
@@ -163,8 +157,8 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
         point = master.solution_point()
         phi = point[0] + floor
         x_next = np.maximum(point[1:m + 1], 0.0)
-        phi_history.append(phi)
-        if t == 0 and abs(phi - phi_analytic) > 1e-7:
+        model.phi_history.append(phi)
+        if t == 0 and abs(phi - phi_first) > 1e-7:
             raise RuntimeError("first master LP disagrees with its closed form")
         step = float(np.max(np.abs(x_next - x)))
         value, grad = objective(x_next)
@@ -172,25 +166,29 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
         if value < best_value:
             best_value, best_x = value, x_next.copy()
         history.append(best_value)
-        gap = value - phi
         x = x_next
-        if step <= tol or gap <= tol:
+        if step <= tol or value - phi <= tol:
             break
     model.master_tableau = master
-    return best_x, best_value, model, history, phi_history
+    return best_x, model, history
 
 
-def _throughput_objective(net, demands, q, base_caps, tree):
-    warm = WarmStart()
-
+def _robust_objective(evaluate, base_caps, sign):
+    """``x -> (value, subgradient)`` to minimize: ``sign`` times the worst
+    value of the report ``evaluate(base_caps + x)``, whose worst tableau's
+    sensitivities are already those of that signed value."""
     def objective(x):
         caps = base_caps + x
-        report = robust_throughput(net, demands, q, b_override=caps,
-                                   keep_per_scenario=False, warm=warm, **tree)
-        grad = worst_scenario_subgradient(report.context, caps)
-        return -report.worst_value, grad
+        report = evaluate(caps)
+        return sign * report.worst_value, worst_scenario_subgradient(report.context, caps)
 
     return objective
+
+
+def _throughput_evaluate(net, demands, q, tree):
+    warm = WarmStart()
+    return lambda caps: robust_throughput(net, demands, q, b_override=caps,
+                                          keep_per_scenario=False, warm=warm, **tree)
 
 
 def robustify_throughput_subgradient(net, demands, q, budget, steps=1000,
@@ -199,12 +197,11 @@ def robustify_throughput_subgradient(net, demands, q, budget, steps=1000,
 
     ``tree`` holds the scenario-tree options of ``robust_throughput``
     (groups, workers, allow_large, max_scenarios).  Returns the best
-    allocation found and the monotone history of the best robust throughput
-    per iteration.
+    allocation and the best robust throughput per iteration (monotone).
     """
-    objective = _throughput_objective(net, demands, q, net.capacities, tree)
-    x, value, history = _subgradient_descent(objective, net.n_edges, budget,
-                                             steps, step_rule)
+    objective = _robust_objective(_throughput_evaluate(net, demands, q, tree),
+                                  net.capacities, -1.0)
+    x, history = _subgradient_descent(objective, net.n_edges, budget, steps, step_rule)
     return BudgetAllocation(x), [-v for v in history]
 
 
@@ -213,14 +210,12 @@ def robustify_throughput_cutting_plane(net, demands, q, budget, tol=1e-7,
     """Allocate the capacity budget by the cutting-plane method.
 
     ``tree`` holds the scenario-tree options of ``robust_throughput``.
-    Returns the best allocation, the cut model with its master tableau, and
-    the monotone history of the best robust throughput per iteration.
+    Returns the best allocation, the cut model (``CutModel``), and the
+    monotone history of the best robust throughput per iteration.
     """
-    objective = _throughput_objective(net, demands, q, net.capacities, tree)
-    x, value, model, history, phi_history = _cutting_plane(
-        objective, net.n_edges, budget, tol, max_iters
-    )
-    model.phi_history = phi_history
+    objective = _robust_objective(_throughput_evaluate(net, demands, q, tree),
+                                  net.capacities, -1.0)
+    x, model, history = _cutting_plane(objective, net.n_edges, budget, tol, max_iters)
     return BudgetAllocation(x), model, [-v for v in history]
 
 
@@ -236,28 +231,20 @@ def robustify_latency_linear(net, demands, q, budget, cfg,
     """
     if cfg.kind is not LatencyKind.LINEAR:
         raise ValueError("latency robustification requires the linear model")
-    base_caps = net.capacities
     warm = WarmStart()
 
-    def objective(x):
-        caps = base_caps + x
+    def evaluate(caps):
         # only the first evaluation starts from the throughput optimum
         throughput = None if warm.caps is not None else solve_throughput(net, demands, caps)
-        report = _robust_latency(net, demands, q, throughput, target=1.0, denom=1.0,
-                                 b_override=caps, keep_per_scenario=False, warm=warm,
-                                 **tree)
-        grad = worst_scenario_subgradient(report.context, caps)
-        return report.worst_value, grad
+        return _robust_latency(net, demands, q, throughput, target=1.0, denom=1.0,
+                               b_override=caps, keep_per_scenario=False, warm=warm,
+                               **tree)
 
-    # surface disconnecting scenarios before iterating
-    objective(np.zeros(net.n_edges))
-
+    objective = _robust_objective(evaluate, net.capacities, 1.0)
     if method == "subgradient":
-        x, value, history = _subgradient_descent(objective, net.n_edges,
-                                                 budget, steps, step_rule)
+        x, history = _subgradient_descent(objective, net.n_edges, budget, steps, step_rule)
     elif method == "cutting-plane":
-        x, value, model, history, _ = _cutting_plane(objective, net.n_edges,
-                                                     budget, tol, max_iters)
+        x, _, history = _cutting_plane(objective, net.n_edges, budget, tol, max_iters)
     else:
         raise ValueError(f"unknown method {method!r}")
     return BudgetAllocation(x), history

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from robustflow.errors import DimensionMismatch, NoDemand, SingularBasis
+from robustflow.errors import DataError, DimensionMismatch, SingularBasis
 from robustflow.simplex import (
     PIVOT_TOL,
     SimplexTableau,
@@ -14,6 +14,10 @@ from robustflow.simplex import (
     Status,
     primal_simplex,
 )
+
+
+class NoDemand(DataError):
+    """The demand matrix is identically zero."""
 
 
 @dataclass

@@ -256,6 +256,39 @@ class TestRobustifyCommands:
         assert json.loads(out)["robust_latency"] == 10.0
 
 
+def _delta(**entries):
+    """A ring6 ``delta_b``: zero except at the edges given as ``e<index>``."""
+    delta = [0.0] * 20
+    for name, value in entries.items():
+        delta[int(name[1:])] = value
+    return delta
+
+
+class TestRing6RobustifyOutputs:
+    """The ring6 allocations of both robustify commands under both methods,
+    as measured before the two kinds shared one objective."""
+
+    @pytest.mark.parametrize("command, extra, expected", [
+        ("robustify-throughput", [], {
+            "method": "cutting-plane", "iterations": 4, "robust_lambda": 5.0,
+            "delta_b": _delta(e4=10.0, e12=20.0, e14=10.0)}),
+        ("robustify-throughput", ["--method", "subgradient", "--max-iters", "6"], {
+            "method": "subgradient", "iterations": 7, "robust_lambda": 4.32305773641,
+            "delta_b": _delta(e4=5.59987528668, e12=5.59987528668,
+                              e14=5.59987528668, e16=5.59987528668)}),
+        ("robustify-latency", [], {
+            "method": "cutting-plane", "robust_latency": 103.0, "delta_b": _delta()}),
+        ("robustify-latency", ["--method", "subgradient", "--max-iters", "6"], {
+            "method": "subgradient", "robust_latency": 103.0, "delta_b": _delta()}),
+    ])
+    def test_printed_allocation(self, capsys, command, extra, expected):
+        code, out, err = run(capsys, command, "--network", RING6, "--q", "1",
+                             "--budget", "40", *extra)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"command": command, "instance": "ring6.txt",
+                                   "q": 1, "budget": 40.0, **expected}
+
+
 class TestBenchCommand:
     def test_bench_csv(self, capsys, net_a_path):
         code, out, _ = run(capsys, "bench", "--network", net_a_path, "--q", "1")
@@ -322,6 +355,27 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "iteration_limit" in err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("method", ["cutting-plane", "subgradient"])
+    @pytest.mark.parametrize("command", ["robustify-throughput", "robustify-latency"])
+    def test_bad_budget_is_usage_error(self, capsys, command, method, budget):
+        code, out, err = run(capsys, command, "--network", RING6, "--q", "1",
+                             "--method", method, "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == "error: budget must be finite and non-negative\n"
+
+    @pytest.mark.parametrize("tol, message", [
+        ("nan", "tolerance must be finite and positive"),
+        ("inf", "tolerance must be finite and positive"),
+        ("0", "tolerance must be finite and positive"),
+        ("1e-3 --method subgradient", "--tol applies only to --method cutting-plane"),
+    ])
+    @pytest.mark.parametrize("command", ["robustify-throughput", "robustify-latency"])
+    def test_bad_tol_is_usage_error(self, capsys, command, tol, message):
+        code, out, err = run(capsys, command, "--network", RING6, "--q", "1",
+                             "--budget", "1", "--tol", *tol.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_sndlib_autodetected_by_extension(self, capsys):
         code, out, _ = run(capsys, "throughput", "--network",
@@ -392,19 +446,25 @@ class TestFailureGroupFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_node_solves_go_through_the_robust_module(self, capsys, monkeypatch):
-        calls = {"dual_simplex": 0, "tighten_rhs": 0}
-        for name in calls:
-            original = getattr(robust, name)
+        calls = {}
+        for module, name in ((robust, "dual_simplex"), (robust, "tighten_rhs"),
+                             (simplex.SimplexTableau, "copy")):
+            original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(robust, name, counted)
-        code, _, _ = run(capsys, "robust-throughput", "--network", RING6,
-                         "--q", "1", "--paired-failure")
-        assert code == 0
-        assert calls == {"dual_simplex": 10, "tighten_rhs": 20}
+            monkeypatch.setattr(module, name, counted)
+        # one copy per node (tighten_rhs on the group's first edge), plus the
+        # report's copy of the worst tableau
+        for q, nodes in (("1", 10), ("2", 9 + 45)):
+            calls.update(dual_simplex=0, tighten_rhs=0, copy=0)
+            code, _, _ = run(capsys, "robust-throughput", "--network", RING6,
+                             "--q", q, "--paired-failure")
+            assert code == 0
+            assert calls == {"dual_simplex": nodes, "tighten_rhs": nodes,
+                             "copy": nodes + 1}
 
 
 class TestTracerCounting:
@@ -424,6 +484,10 @@ class TestTracerCounting:
             monkeypatch.setattr(module, name, counted)
         return calls
 
+    # inner evaluations on ring6 at --budget 40: (cutting plane, subgradient
+    # with 6 steps after the evaluation at zero)
+    EVALUATIONS = {"robustify-throughput": (4, 7), "robustify-latency": (2, 7)}
+
     @pytest.mark.parametrize("command, inner, extra", [
         ("robustify-throughput", "robust_throughput", []),
         ("robustify-throughput", "robust_throughput",
@@ -442,7 +506,8 @@ class TestTracerCounting:
         code, out, _ = run(capsys, command, "--network", RING6, "--q", "1",
                            "--budget", "40", *extra)
         assert code == 0
-        assert evals[inner] == evals["worst_scenario_subgradient"] > 2
+        count = self.EVALUATIONS[command][bool(extra)]
+        assert evals[inner] == evals["worst_scenario_subgradient"] == count
         if command == "robustify-throughput":
             assert evals[inner] == json.loads(out)["iterations"]
         # one tableau build and, for latency, one throughput solve per run

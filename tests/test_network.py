@@ -8,11 +8,10 @@ from robustflow import (
     incidence_matrix,
     rank_reduce,
 )
-from robustflow.errors import NoDemand
 from robustflow.network import independent_columns
 
 from conftest import random_corpus
-from oracles import demand_edge_connectivity
+from oracles import NoDemand, demand_edge_connectivity
 
 
 class TestNetworkValidation:

@@ -14,6 +14,7 @@ from robustflow import (
     robustify_throughput_cutting_plane,
     robustify_throughput_subgradient,
 )
+from robustflow import robustify
 from robustflow.errors import ScenarioInfeasible
 
 
@@ -132,6 +133,12 @@ class TestRobustifyThroughput:
         # min-form optimum is -0.75; every master value stays below it
         assert all(p <= -0.75 + 1e-7 for p in phi)
 
+    def test_one_master_value_per_cut_after_the_first(self, net_a, demand_ab):
+        _, model, history = robustify_throughput_cutting_plane(net_a, demand_ab,
+                                                               1, 1.0)
+        assert len(model.cuts) == len(history) == len(model.phi_history) + 1
+        assert robustify.CutModel().phi_history == []
+
     def test_more_budget_never_hurts(self, net_a, demand_ab):
         _, _, small = robustify_throughput_cutting_plane(net_a, demand_ab,
                                                          1, 1.0)
@@ -226,9 +233,42 @@ class TestRobustifyLatency:
             robustify_latency_linear(net_a, demand_ab, 1, 1.0,
                                      LatencyConfig(LatencyKind.INVERSE))
 
-    def test_rejects_unknown_method(self, net_a, demand_ab):
+    def test_rejects_unknown_method(self, net_a, demand_ab, monkeypatch):
         net, demands = self.three_route_net()
-        with pytest.raises(ValueError):
+        evaluations = []
+        monkeypatch.setattr(robustify, "_robust_latency",
+                            lambda *args, **kwargs: evaluations.append(args))
+        with pytest.raises(ValueError, match="unknown method"):
             robustify_latency_linear(net, demands, 1, 1.0,
                                      LatencyConfig(LatencyKind.LINEAR),
                                      method="newton")
+        assert evaluations == []
+
+
+def _latency(method):
+    def run(net, demands, q, budget):
+        return robustify_latency_linear(net, demands, q, budget,
+                                        LatencyConfig(LatencyKind.LINEAR), method=method)
+    return run
+
+
+class TestRejectedBeforeEvaluation:
+    """An invalid budget raises ValueError before the scenario tree runs."""
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("the scenario tree was evaluated")
+
+        for name in ("robust_throughput", "_robust_latency"):
+            monkeypatch.setattr(robustify, name, evaluated)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("method", [
+        robustify_throughput_subgradient, robustify_throughput_cutting_plane,
+        _latency("subgradient"), _latency("cutting-plane"),
+    ], ids=["throughput-sg", "throughput-cp", "latency-sg", "latency-cp"])
+    def test_non_finite_or_negative_budget(self, net_a, demand_ab, no_evaluation,
+                                           method, budget):
+        with pytest.raises(ValueError, match="budget must be finite and non-negative"):
+            method(net_a, demand_ab, 1, budget)
