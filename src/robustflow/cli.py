@@ -9,7 +9,6 @@ simplex solve stopped without an optimum (pivot cap or unexpected status).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .flows import (
     solve_throughput,
 )
 from .formats import (
+    _dumps,
     _fmt,
     parse_json_instance,
     parse_sndlib_native,
@@ -71,7 +71,7 @@ def _max_scenarios():
 
 
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(payload))
 
 
 def _latency_config(args):
@@ -338,6 +338,8 @@ def _validate(args):
             raise InputError("tolerance must be finite and positive")
     if getattr(args, "workers", 1) < 1:
         raise InputError("workers must be at least 1")
+    if getattr(args, "max_iters", 1) < 1:
+        raise InputError("max-iters must be at least 1")
 
 
 def main(argv=None):

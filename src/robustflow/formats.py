@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveCapacity, ParseError, SchemaError, UnknownNode
+from .errors import NonPositiveCapacity, ParseError, SchemaError, SolverError, UnknownNode
 from .network import DemandMatrix, Edge, Network
 
 
@@ -40,6 +40,15 @@ class InstanceDocument:
 def _fmt(value):
     """Canonical 12-significant-digit float."""
     return float(f"{float(value):.12g}")
+
+
+def _dumps(payload):
+    """Canonical JSON text of ``payload``; a NaN or an infinity in it, which
+    JSON cannot carry, is a SolverError."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise SolverError("result holds a non-finite number, which JSON cannot carry") from None
 
 
 # --- SNDlib native --------------------------------------------------------
@@ -125,6 +134,12 @@ def parse_sndlib_native(text, name="sndlib-instance"):
                 raise ParseError(f"non-numeric field in link {link_id}", lineno) from None
             capacity = numbers[0] if numbers else 0.0
             routing_cost = numbers[2] if len(numbers) > 2 else 0.0
+            if not np.isfinite(capacity):
+                raise SchemaError("capacity", f"link {link_id} has a non-finite capacity "
+                                              f"{capacity} (line {lineno})")
+            if not np.isfinite(routing_cost):
+                raise SchemaError("delay", f"link {link_id} has a non-finite routing cost "
+                                           f"{routing_cost} (line {lineno})")
             links.append((link_id, endpoints[0], endpoints[1], capacity,
                           routing_cost, lineno))
         elif section == "DEMANDS":
@@ -137,6 +152,9 @@ def parse_sndlib_native(text, name="sndlib-instance"):
                 raise ParseError(f"non-numeric field in demand {demand_id}", lineno) from None
             if len(numbers) < 2:
                 raise ParseError(f"demand {demand_id} is missing its value", lineno)
+            if not np.isfinite(numbers[1]):
+                raise SchemaError("value", f"demand {demand_id} has a non-finite value "
+                                           f"{numbers[1]} (line {lineno})")
             demands.append((demand_id, endpoints[0], endpoints[1], numbers[1], lineno))
     if not node_names:
         raise ParseError("document contains no NODES section")
@@ -199,6 +217,10 @@ def parse_json_instance(text):
             raise SchemaError("edges", f"edge {i}: {exc}") from exc
         if not (0 <= tail < n and 0 <= head < n):
             raise SchemaError("edges", f"edge {i} references a vertex out of range")
+        if not np.isfinite(capacity):
+            raise SchemaError("capacity", f"edge {i} has a non-finite capacity")
+        if not np.isfinite(delay):
+            raise SchemaError("delay", f"edge {i} has a non-finite delay")
         if not capacity > 0:
             raise SchemaError("capacity", f"edge {i} has non-positive capacity")
         if delay < 0:
@@ -215,6 +237,8 @@ def parse_json_instance(text):
             raise SchemaError("demands", f"demand {i}: {exc}") from exc
         if not (0 <= src < n and 0 <= dst < n):
             raise SchemaError("demands", f"demand {i} references a vertex out of range")
+        if not np.isfinite(value):
+            raise SchemaError("value", f"demand {i} is not finite")
         if value < 0:
             raise SchemaError("value", f"demand {i} is negative")
         if src == dst:
@@ -243,7 +267,7 @@ def serialize_instance(doc):
             for s, t, v in doc.demands.pairs()
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _dumps(payload)
 
 
 # --- reports --------------------------------------------------------------
@@ -266,7 +290,7 @@ def serialize_report(report, fmt="json"):
                 _scenario_key(s): _fmt(v)
                 for s, v in sorted(report.per_scenario_values.items())
             }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _dumps(payload)
     if fmt == "csv":
         out = io.StringIO()
         out.write("scenario_edges,value\n")

@@ -6,9 +6,16 @@ link.  One walk (``_Walk``) enumerates the q-subsets of the groups as a
 depth-first tree in lexicographic order; each tree node deletes one more
 group than its parent by tightening its edges' capacity slacks to zero and
 re-optimizing with the dual simplex method, so every child solve is
-warm-started from its parent's optimal basis.  A scenario is reported as the
-sorted tuple of its deleted edges.  With several workers the first-level
-subtrees run on threads; the result does not depend on how many.
+warm-started from a parent's optimal basis.  A leaf has q parents, one per
+group it deletes last.  When the C(g, q - 1) nodes one level above the
+leaves fit in ``MAX_WARM_BYTES``, the walk solves and holds all of them
+first, then re-solves each leaf from the parent whose right-hand side,
+after the remaining group is deleted, has the smallest total primal
+infeasibility sum(max(0, -rhs')), ties going to the lexicographic
+(depth-first) parent; otherwise each leaf starts from its depth-first
+parent.  A scenario is reported as the sorted tuple of its deleted edges.
+With several workers the subtrees and the leaves run on the threads of one
+pool per evaluation; the result does not depend on how many.
 Throughput is monotone in capacities, so the worst case over at-most-q
 failures is attained by an exactly-q scenario.
 
@@ -172,6 +179,31 @@ class _TreeAccumulator:
         )
 
 
+class _Parents:
+    """The optimal nodes one level above the leaves, held for the leaves to
+    choose from: ``nodes`` maps a node's deleted edges to (its tableau, the
+    total primal infeasibility that deleting each group leaves in it)."""
+
+    def __init__(self, caps, groups):
+        self.edges = [e for group in groups for e in group]
+        # column h: the capacity that deleting group h removes, per edge
+        self.drops = np.zeros((len(self.edges), len(groups)))
+        owner = [h for h, group in enumerate(groups) for _ in group]
+        self.drops[np.arange(len(self.edges)), owner] = caps[self.edges]
+        self.nodes = {}
+
+    def hold(self, path, tableau):
+        """Hold ``tableau`` with sum(max(0, -rhs')) after deleting each group,
+        priced by one product ``rhs[:, None] - W @ drops``: a column of W is
+        an edge's non-basic slack column, or the unit row of its basic slack."""
+        slacks = np.array([tableau.constraint_slacks[e] for e in self.edges], dtype=int)
+        which, rows = (slacks[:, None] == tableau.basic_vars).nonzero()
+        spread, cols = (slacks[:, None] == tableau.nonbasic_vars).nonzero()
+        after = tableau.rhs[:, None] - tableau.tab[:-1, cols] @ self.drops[spread]
+        after[rows] -= self.drops[which]
+        self.nodes[path] = (tableau, np.maximum(-after, 0.0).sum(axis=0))
+
+
 class _Walk:
     """Depth-first warm-started walk of the scenario tree at capacities
     ``caps``.
@@ -179,11 +211,14 @@ class _Walk:
     A node copies its parent, tightens one more group and runs one dual solve.
     Scenarios are recorded as sorted edge tuples in ``acc``, infeasible ones
     in ``infeasible``; with a ``warm`` start, the optimal nodes of its kept
-    level go to ``warm.nodes`` as well.
+    level go to ``warm.nodes`` as well.  With ``parents``, the depth-first
+    walk stops one level above the leaves and holds every optimal node there
+    (all C(g, q - 1) of them), and ``leaves`` builds each leaf from one of
+    its held parents.
     """
 
     def __init__(self, caps, groups, value_of, acc, max_pivots=None, on_leaf=None,
-                 warm=None):
+                 warm=None, parents=None):
         self.caps = caps
         self.groups = groups
         self.value_of = value_of
@@ -192,6 +227,9 @@ class _Walk:
         self.max_pivots = max_pivots
         self.on_leaf = on_leaf
         self.warm = warm
+        self.parents = parents
+        # groups still to delete where the depth-first walk stops
+        self.low = int(parents is not None)
 
     def tree(self, root, q, start=0, stop=None, deleted=()):
         """Delete q more groups from ``groups[start:]`` below ``root``, optimal
@@ -200,73 +238,103 @@ class _Walk:
         if q == 0:
             self.acc.record(deleted, self.value_of(root), root, 0)
             return
-        last = len(self.groups) - q + 1
+        last = len(self.groups) - q + self.low + 1
         for g in range(start, last if stop is None else min(stop, last)):
-            first, *rest = self.groups[g]
-            child = tighten_rhs(root, first, self.caps[first])
-            for e in rest:
-                shift_rhs(child, {e: -self.caps[e]})
-            self.node(child, tuple(sorted(deleted + self.groups[g])), g + 1, q - 1)
+            self.node(self.child(root, g), tuple(sorted(deleted + self.groups[g])), g + 1, q - 1)
+
+    def child(self, parent, g):
+        """A copy of ``parent`` with group g deleted: ``tighten_rhs`` on its
+        first edge (the one copy), a single-edge shift for each other edge."""
+        first, *rest = self.groups[g]
+        child = tighten_rhs(parent, first, self.caps[first])
+        for e in rest:
+            shift_rhs(child, {e: -self.caps[e]})
+        return child
 
     def node(self, child, path, start, q):
         """Re-optimize ``child``, dual feasible with the edges ``path``
-        deleted; then record it (q = 0) or walk the q groups it still
+        deleted; then hold or record it, or walk the q groups it still
         deletes from ``groups[start:]``."""
         began = time.perf_counter()
         out = dual_simplex(child, self.max_pivots)
         elapsed = time.perf_counter() - began
         self.acc.total_pivots += out.pivot_count
         if out.status is Status.INFEASIBLE:
-            # every completion of this path only tightens further
-            for rest in combinations(self.groups[start:], q):
-                self.infeasible.append(tuple(sorted(path + sum(rest, ()))))
+            # every completion of this path only tightens further; below held
+            # parents, ``leaves`` lists those of a parent that is missing
+            if q == 0 or self.parents is None:
+                for rest in combinations(self.groups[start:], q):
+                    self.infeasible.append(tuple(sorted(path + sum(rest, ()))))
             return
         if out.status is not Status.OPTIMAL:
             raise SolverError(f"scenario {path} solve ended with status {out.status.value}",
                               scenario=path)
         if self.warm is not None and q == self.warm.below:
             self.warm.nodes[path] = (start, out.tableau)
-        if q == 0:
+        if q > self.low:
+            self.tree(out.tableau, q, start, None, path)
+        elif q:
+            self.parents.hold(path, out.tableau)
+        else:
             self.acc.record(path, self.value_of(out.tableau), out.tableau, out.pivot_count)
             if self.on_leaf is not None:
                 self.on_leaf(path, out.pivot_count, elapsed)
-        else:
-            self.tree(out.tableau, q, start, None, path)
+
+    def leaves(self, first, q):
+        """Solve every leaf of q groups whose first group is ``first``, each
+        from the held parent (the leaf minus one group) that deleting that
+        group leaves least primal infeasible; ties go to the lexicographic
+        parent, which lacks the last group.  A leaf with a missing
+        (infeasible) parent is infeasible."""
+        for rest in combinations(range(first + 1, len(self.groups)), q - 1):
+            picked = (first, *rest)
+            options = []
+            for k in range(q - 1, -1, -1):
+                parent = self.parents.nodes.get(self.path(picked[:k] + picked[k + 1:]))
+                if parent is None:
+                    self.infeasible.append(self.path(picked))
+                    break
+                tableau, shortfalls = parent
+                options.append((shortfalls[picked[k]], picked[k], tableau))
+            else:
+                _, g, tableau = min(options, key=lambda option: option[0])
+                self.node(self.child(tableau, g), self.path(picked), picked[-1] + 1, 0)
+
+    def path(self, picked):
+        """The sorted edges of the groups ``picked``."""
+        return tuple(sorted(e for g in picked for e in self.groups[g]))
 
 
-def _run_tree(new_walk, task, items, workers):
-    """``task(walk, item)`` for every item: (merged accumulator, sorted
-    infeasible scenarios).  With several workers each item runs on a thread
-    and a walk of its own; the result does not depend on how many."""
-    if workers <= 1 or len(items) <= 1:
+def _run_tree(new_walk, task, items, pool):
+    """``task(walk, item)`` for every item: the walks that ran them.  On a
+    thread ``pool`` each item runs on a walk of its own; the result does not
+    depend on how many threads."""
+    if pool is None or len(items) <= 1:
         walk = new_walk()
         for item in items:
             task(walk, item)
-        walks = [walk]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return [walk]
 
-        def run(item):
-            walk = new_walk()
-            task(walk, item)
-            return walk
+    def run(item):
+        walk = new_walk()
+        task(walk, item)
+        return walk
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            walks = list(pool.map(run, items))
-    acc, infeasible = walks[0].acc, walks[0].infeasible
-    for walk in walks[1:]:
-        acc.merge(walk.acc)
-        infeasible.extend(walk.infeasible)
-    return acc, sorted(infeasible)
+    return list(pool.map(run, items))
+
+
+def _fits(tableau, count):
+    """Whether ``count`` tableaux the size of ``tableau`` fit in
+    ``MAX_WARM_BYTES``."""
+    size = sum(a.nbytes for a in (tableau.tab, tableau.basic_vars, tableau.nonbasic_vars))
+    return count * size <= MAX_WARM_BYTES
 
 
 def _keep_level(warm, root, groups, q):
     """Make ``warm`` keep the nodes of the deepest level d <= q whose
     C(len(groups), d) tableaux, each the size of ``root``, fit in
     ``MAX_WARM_BYTES``; the root itself when no level d >= 1 fits."""
-    size = sum(a.nbytes for a in (root.tab, root.basic_vars, root.nonbasic_vars))
-    depth = next((d for d in range(q, 0, -1)
-                  if math.comb(len(groups), d) * size <= MAX_WARM_BYTES), 0)
+    depth = next((d for d in range(q, 0, -1) if _fits(root, math.comb(len(groups), d))), 0)
     warm.tree = (q, groups)
     warm.below = q - depth
     warm.nodes = {(): (0, root)} if depth == 0 else {}
@@ -282,38 +350,68 @@ def _evaluate(root, caps, groups, q, value_of, sense, keep_values, workers,
     shifted by the capacity change since the previous evaluation (zero on
     its deleted edges), re-optimized by dual simplex from its own basis, and
     the levels below it walked.  Otherwise the full tree runs below
-    ``root()`` and fills ``warm``.
+    ``root()`` and fills ``warm``.  When q >= 2 leaves are still to be built
+    and the C(len(groups), q - 1) nodes above them fit in ``MAX_WARM_BYTES``,
+    all those nodes are solved and held first, and the leaves built from
+    them after.  Both phases share one thread pool.
     """
+    parents = None
+
     def new_walk():
         return _Walk(caps, groups, value_of, _TreeAccumulator(sense, keep_values),
-                     max_pivots, on_leaf, warm)
+                     max_pivots, on_leaf, warm, parents)
 
-    if warm is not None and warm.caps is not None:
-        if warm.tree != (q, groups):
-            raise ValueError("a warm start serves the scenario tree it was filled for")
-        change = caps - warm.caps
-        moved = np.flatnonzero(change).tolist()
-        # taken out first, so that an evaluation that fails leaves no stale node
-        nodes, warm.nodes, warm.caps = warm.nodes, {}, None
+    def held_parents(tableau):
+        # at q = 1 every leaf has one parent, the root
+        if q > 1 and _fits(tableau, math.comb(len(groups), q - 1)):
+            return _Parents(caps, groups)
+        return None
 
-        def resolve(walk, path):
-            start, tableau = nodes.pop(path)
-            shift_rhs(tableau, {e: change[e] for e in moved if e not in path})
-            walk.node(tableau, path, start, warm.below)
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        if warm is not None and warm.caps is not None:
+            if warm.tree != (q, groups):
+                raise ValueError("a warm start serves the scenario tree it was filled for")
+            change = caps - warm.caps
+            moved = np.flatnonzero(change).tolist()
+            # taken out first, so that an evaluation that fails leaves no stale node
+            nodes, warm.nodes, warm.caps = warm.nodes, {}, None
+            if warm.below:
+                parents = held_parents(next(iter(nodes.values()))[1])
 
-        pivots = 0
-        acc, infeasible = _run_tree(new_walk, resolve, sorted(nodes), workers)
-    else:
-        tableau, pivots = root()
-        if warm is not None:
-            _keep_level(warm, tableau, groups, q)
-        firsts = range(len(groups) - q + 1) if q else range(1)
-        acc, infeasible = _run_tree(
-            new_walk, lambda walk, g: walk.tree(tableau, q, g, g + 1), firsts, workers)
+            def resolve(walk, path):
+                start, tableau = nodes.pop(path)
+                shift_rhs(tableau, {e: change[e] for e in moved if e not in path})
+                walk.node(tableau, path, start, warm.below)
+
+            pivots = 0
+            walks = _run_tree(new_walk, resolve, sorted(nodes), pool)
+        else:
+            tableau, pivots = root()
+            if warm is not None:
+                _keep_level(warm, tableau, groups, q)
+            parents = held_parents(tableau)
+            low = int(parents is not None)
+            firsts = range(len(groups) - q + low + 1) if q else range(1)
+            walks = _run_tree(new_walk, lambda walk, g: walk.tree(tableau, q, g, g + 1),
+                              firsts, pool)
+        if parents is not None:
+            walks += _run_tree(new_walk, lambda walk, first: walk.leaves(first, q),
+                               range(len(groups) - q + 1), pool)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    acc, infeasible = walks[0].acc, walks[0].infeasible
+    for walk in walks[1:]:
+        acc.merge(walk.acc)
+        infeasible.extend(walk.infeasible)
     if warm is not None:
         # an infeasible node is not kept, so the next evaluation starts cold
         warm.caps = None if infeasible else caps
-    return pivots, acc, infeasible
+    return pivots, acc, sorted(infeasible)
 
 
 def _solve_cold(net, demands, caps, max_pivots, scenario=None):

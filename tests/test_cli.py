@@ -2,11 +2,13 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from robustflow import robust, simplex
+from robustflow import cli, robust, simplex
 from robustflow.cli import main
+from robustflow.robust import RobustReport
 
 from conftest import ring_chords_instance
 
@@ -306,9 +308,9 @@ class TestRing6PivotCounts:
     @pytest.mark.parametrize("argv, key, pivots", [
         (["throughput"], "pivots", 17),
         (["robust-throughput", "--q", "1"], "pivots_total", 46),
-        (["robust-throughput", "--q", "2"], "pivots_total", 368),
+        (["robust-throughput", "--q", "2"], "pivots_total", 221),
         (["robust-throughput", "--q", "1", "--paired-failure"], "pivots_total", 40),
-        (["robust-throughput", "--q", "2", "--paired-failure"], "pivots_total", 171),
+        (["robust-throughput", "--q", "2", "--paired-failure"], "pivots_total", 147),
         (["robust-latency", "--q", "1", "--beta", "0.3"], "pivots_total", 30),
     ])
     def test_printed_pivots(self, capsys, argv, key, pivots):
@@ -376,6 +378,43 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--network", RING6, "--q", "1",
                              "--budget", "1", "--tol", *tol.split())
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("max_iters", ["0", "-3"])
+    @pytest.mark.parametrize("method", ["cutting-plane", "subgradient"])
+    @pytest.mark.parametrize("command", ["robustify-throughput", "robustify-latency"])
+    def test_max_iters_below_one_is_usage_error(self, capsys, command, method, max_iters):
+        code, out, err = run(capsys, command, "--network", RING6, "--q", "1", "--budget", "5",
+                             "--method", method, "--max-iters", max_iters)
+        assert (code, out, err) == (2, "", "error: max-iters must be at least 1\n")
+
+    @pytest.mark.parametrize("suffix, old, new", [
+        (".json", '"capacity": 3.0', '"capacity": Infinity'),
+        (".json", '"delay": 0.0', '"delay": NaN'),
+        (".json", '"value": 4.0', '"value": Infinity'),
+        (".txt", "40.0 0.0 1.0", "inf 0.0 1.0"),
+        (".txt", "40.0 0.0 1.0", "40.0 0.0 nan"),
+        (".txt", "1 12.0", "1 nan"),
+    ])
+    @pytest.mark.parametrize("command", ["throughput", "latency", "robust-throughput"])
+    def test_non_finite_input_is_rejected(self, capsys, tmp_path, command, suffix, old, new):
+        text = json.dumps(NET_A) if suffix == ".json" else (DATA / "ring6.txt").read_text()
+        assert old in text
+        path = tmp_path / f"bad{suffix}"
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, command, "--network", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["throughput", "robust-throughput"])
+    def test_non_finite_output_is_solver_error(self, capsys, monkeypatch, command):
+        nan = float("nan")
+        monkeypatch.setattr(cli, "solve_throughput",
+                            lambda *args: SimpleNamespace(lambda_star=nan, pivot_count=0))
+        monkeypatch.setattr(cli, "robust_throughput",
+                            lambda *args, **kwargs: RobustReport(nan, (0,), None, 0, 1))
+        code, out, err = run(capsys, command, "--network", RING6)
+        assert (code, out) == (3, "")
+        assert err == "error: result holds a non-finite number, which JSON cannot carry\n"
 
     def test_sndlib_autodetected_by_extension(self, capsys):
         code, out, _ = run(capsys, "throughput", "--network",
@@ -457,8 +496,9 @@ class TestFailureGroupFlags:
 
             monkeypatch.setattr(module, name, counted)
         # one copy per node (tighten_rhs on the group's first edge), plus the
-        # report's copy of the worst tableau
-        for q, nodes in (("1", 10), ("2", 9 + 45)):
+        # report's copy of the worst tableau; q=2 solves all ten first-level
+        # nodes, the parents its 45 leaves choose from
+        for q, nodes in (("1", 10), ("2", 10 + 45)):
             calls.update(dual_simplex=0, tighten_rhs=0, copy=0)
             code, _, _ = run(capsys, "robust-throughput", "--network", RING6,
                              "--q", q, "--paired-failure")

@@ -15,6 +15,7 @@ from robustflow.errors import (
     NonPositiveCapacity,
     ParseError,
     SchemaError,
+    SolverError,
     UnknownNode,
 )
 from robustflow.formats import SourceFormat, serialize_bench
@@ -98,6 +99,27 @@ class TestSndlibParsing:
         assert doc.network.n_edges == 2
 
 
+class TestNonFiniteSndlib:
+    @pytest.mark.parametrize("field, old, new", [
+        ("capacity", "5.0 0.0 2.0", "inf 0.0 2.0"), ("capacity", "5.0 0.0 2.0", "nan 0.0 2.0"),
+        ("delay", "5.0 0.0 2.0", "5.0 0.0 nan"), ("value", "1 3.0", "1 inf"),
+        ("value", "1 3.0", "1 -nan"),
+    ])
+    def test_non_finite_number_is_schema_error(self, field, old, new):
+        bad = MINIMAL_SNDLIB.replace(old, new)
+        assert bad != MINIMAL_SNDLIB
+        with pytest.raises(SchemaError) as info:
+            parse_sndlib_native(bad)
+        assert info.value.field == field
+
+
+class TestNonFiniteOutput:
+    def test_report_with_nan_is_solver_error(self):
+        report = RobustReport(float("nan"), (0,), {(0,): float("nan")}, 0, 1)
+        with pytest.raises(SolverError):
+            serialize_report(report)
+
+
 class TestJsonParsing:
     def test_net_a(self):
         doc = parse_json_instance(NET_A_JSON)
@@ -123,6 +145,18 @@ class TestJsonParsing:
         bad = NET_A_JSON.replace('"head": 1', '"head": 7')
         with pytest.raises(SchemaError):
             parse_json_instance(bad)
+
+    @pytest.mark.parametrize("field, old, new", [
+        ("capacity", "3.0", "Infinity"), ("capacity", "3.0", "NaN"),
+        ("delay", "0.0", "NaN"), ("delay", "0.0", "Infinity"),
+        ("value", "4.0", "Infinity"), ("value", "4.0", "NaN"),
+    ])
+    def test_non_finite_number_is_schema_error(self, field, old, new):
+        bad = NET_A_JSON.replace(f'"{field}": {old}', f'"{field}": {new}', 1)
+        assert bad != NET_A_JSON
+        with pytest.raises(SchemaError) as info:
+            parse_json_instance(bad)
+        assert info.value.field == field
 
     def test_round_trip_identity(self):
         doc = parse_json_instance(NET_A_JSON)

@@ -18,6 +18,7 @@ from robustflow import (
     worst_scenario_subgradient,
 )
 from robustflow import parse_sndlib_native, robust, serialize_report, simplex
+from robustflow import robustify as robustify_module
 from robustflow.errors import ScenarioInfeasible, ScenarioLimitExceeded, SolverError
 from robustflow.robust import _TreeAccumulator, bench_robust_throughput
 
@@ -251,6 +252,22 @@ class TestSolverError:
         assert str(info.value.scenario) in str(info.value)
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The max_workers of every thread pool started, in order."""
+    import concurrent.futures
+
+    starts = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            starts.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return starts
+
+
 def _group_instances():
     """(name, network, demands, link pairs): ring6 and three ring-plus-chords
     instances, whose edges 2i and 2i+1 are the two directions of link i."""
@@ -264,9 +281,9 @@ def _group_instances():
 
 
 GROUP_CASES = _group_instances()
-# pivots_total of the singleton tree before failure groups existed
-SINGLETON_PIVOTS = {"ring6": (46, 368), "ring8-s1": (108, 1121),
-                    "ring8-s2": (89, 1046), "ring8-s3": (175, 1664)}
+# pivots_total of the singleton tree at q = 1 and q = 2
+SINGLETON_PIVOTS = {"ring6": (46, 221), "ring8-s1": (108, 946),
+                    "ring8-s2": (89, 638), "ring8-s3": (175, 1226)}
 
 
 class TestFailureGroups:
@@ -290,11 +307,14 @@ class TestFailureGroups:
 
     @pytest.mark.parametrize("q", [1, 2])
     @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
-    def test_workers_print_identical_output(self, case, q):
+    def test_workers_print_identical_output(self, case, q, pool_starts):
         _, net, demands, pairs = case
         for groups in (None, pairs):
             seq = robust_throughput(net, demands, q, groups=groups, workers=1)
+            assert not pool_starts
             par = robust_throughput(net, demands, q, groups=groups, workers=2)
+            # the first-level nodes and the leaves share one pool
+            assert pool_starts.pop() == 2 and not pool_starts
             assert serialize_report(seq) == serialize_report(par)
             assert serialize_report(seq, "csv") == serialize_report(par, "csv")
 
@@ -340,6 +360,50 @@ class TestFailureGroups:
         assert [r["scenario_edges"] for r in rows] == sorted(report.per_scenario_values)
         assert totals["warm_pivots"] == report.pivots_total - solve_throughput(
             net, demands).pivot_count
+
+
+# q=2 pivots_total when every leaf starts from its lexicographic parent
+LEXICOGRAPHIC_Q2_PIVOTS = {"ring6": 368, "ring6-paired": 171, "ring8-s1": 1121,
+                           "ring8-s2": 1046, "ring8-s3": 1664}
+
+
+def _q2_cases():
+    """(name, network, demands, groups) of the pinned q=2 trees."""
+    ring6 = GROUP_CASES[0]
+    cases = [(name, net, demands, None) for name, net, demands, _ in GROUP_CASES]
+    return cases + [("ring6-paired", ring6[1], ring6[2], ring6[3])]
+
+
+class TestParentChoice:
+    @pytest.mark.parametrize("case", _q2_cases(), ids=lambda c: c[0])
+    def test_q2_takes_fewer_pivots_than_the_lexicographic_parent(self, case,
+                                                                  monkeypatch):
+        name, net, demands, groups = case
+        chosen = robust_throughput(net, demands, 2, groups=groups)
+        # with no room for the first-level nodes, each leaf keeps its
+        # depth-first (lexicographic) parent
+        monkeypatch.setattr(robust, "MAX_WARM_BYTES", 0)
+        lexicographic = robust_throughput(net, demands, 2, groups=groups)
+        assert lexicographic.pivots_total == LEXICOGRAPHIC_Q2_PIVOTS[name]
+        assert chosen.pivots_total < lexicographic.pivots_total
+        chosen.pivots_total = lexicographic.pivots_total
+        assert serialize_report(chosen) == serialize_report(lexicographic)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("room", [True, False], ids=["chosen", "lexicographic"])
+    def test_infeasible_leaves_match_the_lexicographic_walk(self, workers, room,
+                                                             monkeypatch):
+        # losing edge 2 alone, or edge 2 with any other, leaves too little
+        # capacity for the pinned load of 4.2; (0, 2) and (1, 2) have a
+        # feasible lexicographic parent and an infeasible other parent
+        net = Network(2, [(0, 1, c, 1.0) for c in (1.0, 1.0, 3.0, 1.0, 1.0)])
+        demands = DemandMatrix([[0.0, 1.0], [0.0, 0.0]])
+        cfg = LatencyConfig(LatencyKind.LINEAR, beta=0.6)
+        if not room:
+            monkeypatch.setattr(robust, "MAX_WARM_BYTES", 0)
+        with pytest.raises(ScenarioInfeasible) as info:
+            robust_latency_linear(net, demands, 2, cfg, workers=workers)
+        assert info.value.scenarios == [(0, 2), (1, 2), (2, 3), (2, 4)]
 
 
 def _capacity_path(net, seed, steps=6):
@@ -396,6 +460,14 @@ def _walk_warm(case, q, paired, kind, workers=1, cold=True):
     return got, want, warm
 
 
+def _keep_first_level(monkeypatch, net, demands):
+    """Make ``MAX_WARM_BYTES`` room for the first-level nodes of a q=2 tree
+    over single edges or link pairs, and not for its leaves."""
+    root = solve_throughput(net, demands).tableau
+    size = root.body.nbytes + root.rhs.nbytes + root.cost_row.nbytes
+    monkeypatch.setattr(robust, "MAX_WARM_BYTES", 2 * net.n_edges * size)
+
+
 def _assert_same(got, want):
     if isinstance(want, list):
         assert got == want
@@ -439,18 +511,53 @@ class TestWarmStart:
         got, want, warm = _walk_warm(case, q, paired, kind)
         assert not isinstance(want[0], list)
         assert warm.below == q - level
-        # a first-level node needs a later group to complete a q=2 scenario
-        assert len(warm.nodes) == (1 if level == 0 else n_groups - 1)
+        # every first-level node is a parent that the q=2 leaves choose from
+        assert len(warm.nodes) == (1 if level == 0 else n_groups)
         for g, w in zip(got, want):
             _assert_same(g, w)
 
+    @pytest.mark.parametrize("method", ["cutting-plane", "subgradient"])
+    @pytest.mark.parametrize("case", GROUP_CASES[:2], ids=lambda c: c[0])
+    def test_robustify_with_level_one_kept_matches_cold(self, case, method, monkeypatch):
+        _, net, demands, _ = case
+        _keep_first_level(monkeypatch, net, demands)
+        original = robustify_module.robust_throughput
+        kept = []
+
+        def checked(*args, warm=None, **kwargs):
+            got = original(*args, warm=warm, **kwargs)
+            want = original(*args, **kwargs)
+            kept.append((warm.below, len(warm.nodes)))
+            assert got.scenarios_evaluated == want.scenarios_evaluated
+            assert got.worst_value == pytest.approx(want.worst_value, abs=1e-9)
+            assert got.worst_scenario == want.worst_scenario
+            return got
+
+        monkeypatch.setattr(robustify_module, "robust_throughput", checked)
+        if method == "cutting-plane":
+            robustify_module.robustify_throughput_cutting_plane(net, demands, 2, 40.0,
+                                                                max_iters=4)
+        else:
+            robustify_module.robustify_throughput_subgradient(net, demands, 2, 40.0, steps=4)
+        assert len(kept) >= 3
+        assert set(kept) == {(1, net.n_edges)}
+
     @pytest.mark.parametrize("kind", ["throughput", "latency"])
-    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("q, level", [pytest.param(1, 1, id="1"), pytest.param(2, 2, id="2"),
+                                          pytest.param(2, 1, id="2-level1")])
     @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
-    def test_workers_print_identical_output(self, case, q, kind):
+    def test_workers_print_identical_output(self, case, q, level, kind, pool_starts,
+                                            monkeypatch):
+        if level < q:
+            # every evaluation builds the leaves from the kept first level
+            _keep_first_level(monkeypatch, case[1], case[2])
         for paired in (False, True):
             seq, _, _ = _walk_warm(case, q, paired, kind, workers=1, cold=False)
-            par, _, _ = _walk_warm(case, q, paired, kind, workers=2, cold=False)
+            par, _, warm = _walk_warm(case, q, paired, kind, workers=2, cold=False)
+            assert warm.below == q - level
+            # one pool per evaluation, whatever its phases
+            assert pool_starts == [2] * len(par)
+            pool_starts.clear()
             for a, b in zip(seq, par):
                 if isinstance(a, list):
                     assert a == b
@@ -468,6 +575,24 @@ class TestWarmStart:
             for caps in _capacity_path(net, seed=5, steps=4):
                 got = robust_throughput(net, demands, 1, b_override=caps, warm=warm, workers=4)
                 want = robust_throughput(net, demands, 1, b_override=caps, warm=seq)
+                assert sorted(warm.nodes) == sorted(seq.nodes)
+                assert len(warm.nodes) == net.n_edges
+                assert serialize_report(got) == serialize_report(want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_hold_every_parent(self, monkeypatch):
+        # the threads of one evaluation store the held parents (here also the
+        # kept nodes) in shared dicts, then build the leaves from them
+        _, net, demands, _ = GROUP_CASES[1]
+        _keep_first_level(monkeypatch, net, demands)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            warm, seq = robust.WarmStart(), robust.WarmStart()
+            for caps in _capacity_path(net, seed=6, steps=3):
+                got = robust_throughput(net, demands, 2, b_override=caps, warm=warm, workers=4)
+                want = robust_throughput(net, demands, 2, b_override=caps, warm=seq)
                 assert sorted(warm.nodes) == sorted(seq.nodes)
                 assert len(warm.nodes) == net.n_edges
                 assert serialize_report(got) == serialize_report(want)

@@ -360,7 +360,7 @@ class TestInPlace:
                 view[...] = 0.0
         assert isinstance(t.cost_corner, float)
 
-    @pytest.mark.parametrize("q, leaves, internal", [(1, 20, 0), (2, 190, 19)])
+    @pytest.mark.parametrize("q, leaves, internal", [(1, 20, 0), (2, 190, 20)])
     def test_tree_copies_each_node_once(self, monkeypatch, q, leaves, internal):
         doc = parse_sndlib_native(
             (Path(__file__).parent / "data" / "ring6.txt").read_text(), name="ring6")
