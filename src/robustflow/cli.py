@@ -74,11 +74,6 @@ def _emit(payload):
     sys.stdout.write(_dumps(payload))
 
 
-def _latency_config(args):
-    kind = LatencyKind(args.latency_kind)
-    return LatencyConfig(kind=kind, beta=args.beta, alpha_c=args.alpha_c)
-
-
 def _cmd_throughput(args):
     doc = _load_instance(args)
     sol = solve_throughput(doc.network, doc.demands)
@@ -106,7 +101,7 @@ def _cmd_load_balance(args):
 
 def _cmd_latency(args):
     doc = _load_instance(args)
-    cfg = _latency_config(args)
+    cfg = LatencyConfig(LatencyKind(args.latency_kind), args.beta, args.alpha_c)
     sol = solve_throughput(doc.network, doc.demands)
     lat = solve_latency_linear(doc.network, doc.demands,
                                LatencyConfig(LatencyKind.LINEAR, cfg.beta, cfg.alpha_c),
@@ -166,9 +161,7 @@ def _paired_robust_throughput(doc, args):
 
 def _cmd_robust_latency(args):
     doc = _load_instance(args)
-    cfg = _latency_config(args)
-    if cfg.kind is not LatencyKind.LINEAR:
-        raise InputError("robust latency optimization supports only the linear model")
+    cfg = LatencyConfig(LatencyKind.LINEAR, args.beta)
     report = robust_latency_linear(doc.network, doc.demands, args.q, cfg,
                                    **_tree_options(doc, args))
     sys.stdout.write(serialize_report(report, args.output))
@@ -208,9 +201,9 @@ def _cmd_robustify_throughput(args):
 
 def _cmd_robustify_latency(args):
     doc = _load_instance(args)
-    cfg = _latency_config(args)
+    # the full demand under the linear model: no load ratio or latency kind
     alloc, history = robustify_latency_linear(
-        doc.network, doc.demands, args.q, args.budget, cfg, method=args.method,
+        doc.network, doc.demands, args.q, args.budget, LatencyConfig(), method=args.method,
         **_method_options(args), **_tree_options(doc, args),
     )
     _emit({
@@ -253,12 +246,13 @@ def _add_robust(parser, workers=True, output=False):
                         help="delete both directions of each SNDlib link together")
 
 
-def _add_latency_opts(parser):
+def _add_latency_opts(parser, model=True):
     parser.add_argument("--beta", type=float, default=0.9, help="load ratio in (0, 1]")
-    parser.add_argument("--latency-kind", choices=[k.value for k in LatencyKind],
-                        default="linear")
-    parser.add_argument("--alpha-c", type=float, default=1e-6,
-                        help="stabilization scale of the inverse model")
+    if model:
+        parser.add_argument("--latency-kind", choices=[k.value for k in LatencyKind],
+                            default="linear")
+        parser.add_argument("--alpha-c", type=float, default=1e-6,
+                            help="stabilization scale of the inverse model")
 
 
 def _add_robustify(parser):
@@ -301,7 +295,7 @@ def build_parser():
     p = sub.add_parser("robust-latency", help="worst-case latency under q deletions")
     _add_common(p)
     _add_robust(p, output=True)
-    _add_latency_opts(p)
+    _add_latency_opts(p, model=False)
     p.set_defaults(func=_cmd_robust_latency)
 
     p = sub.add_parser("robustify-throughput", help="allocate budget to maximize robust throughput")
@@ -313,7 +307,6 @@ def build_parser():
     p = sub.add_parser("robustify-latency", help="allocate budget to minimize robust latency")
     _add_common(p)
     _add_robust(p)
-    _add_latency_opts(p)
     _add_robustify(p)
     p.set_defaults(func=_cmd_robustify_latency)
 

@@ -98,8 +98,8 @@ class LatencyConfig:
     def __post_init__(self):
         if not (0 < self.beta <= 1):
             raise ValueError("beta must lie in (0, 1]")
-        if not self.alpha_c > 0:
-            raise ValueError("alpha_c must be positive")
+        if not 0 < self.alpha_c < np.inf:
+            raise ValueError("alpha_c must be finite and positive")
 
 
 @dataclass
@@ -322,5 +322,9 @@ def eval_latency(flows_per_edge, net, cfg):
         raise SaturatedEdge(f"edge {edge} is saturated (flow {f[edge]} >= capacity {caps[edge]})")
     load = f / caps
     if cfg.kind is LatencyKind.INVERSE:
-        return float(cfg.alpha_c * np.sum(delays * f / (1.0 - load)))
+        with np.errstate(over="ignore"):
+            total = cfg.alpha_c * np.sum(delays * f / (1.0 - load))
+        if not np.isfinite(total):
+            raise ValueError("the inverse latency overflows the float range; lower alpha_c")
+        return float(total)
     return float(np.sum(delays * (1.0 - np.log(1.0 - load))))

@@ -3,19 +3,20 @@
 A scenario deletes q failure groups: disjoint tuples of edges that fail
 together, single edges ``(e,)`` by default or both directions of each SNDlib
 link.  One walk (``_Walk``) enumerates the q-subsets of the groups as a
-depth-first tree in lexicographic order; each tree node deletes one more
-group than its parent by tightening its edges' capacity slacks to zero and
-re-optimizing with the dual simplex method, so every child solve is
-warm-started from a parent's optimal basis.  A leaf has q parents, one per
-group it deletes last.  When the C(g, q - 1) nodes one level above the
-leaves fit in ``MAX_WARM_BYTES``, the walk solves and holds all of them
-first, then re-solves each leaf from the parent whose right-hand side,
-after the remaining group is deleted, has the smallest total primal
-infeasibility sum(max(0, -rhs')), ties going to the lexicographic
-(depth-first) parent; otherwise each leaf starts from its depth-first
-parent.  A scenario is reported as the sorted tuple of its deleted edges.
-With several workers the subtrees and the leaves run on the threads of one
-pool per evaluation; the result does not depend on how many.
+tree in lexicographic order; each tree node deletes one more group than its
+parent by tightening its edges' capacity slacks to zero and re-optimizing
+with the dual simplex method, so every solve is warm-started from a
+parent's optimal basis.  A leaf has q parents, one per group it deletes
+last; at q = 1 the root is the only one.  The walk goes depth-first down to
+the parents and scores each by the total primal infeasibility
+sum(max(0, -rhs')) that deleting each group leaves in it.  Each leaf is
+then re-solved from its parent with the smallest score, ties going to the
+lexicographic (depth-first) parent.  The parents are held when all
+C(g, q - 1) of them fit in ``MAX_WARM_BYTES``; otherwise each is re-solved
+along its own depth-first path just before its leaves, so values and leaf
+pivots do not depend on that limit.  A scenario is reported as the sorted
+tuple of its deleted edges.  With several workers both phases run on the
+threads of one pool per evaluation; the result does not depend on how many.
 Throughput is monotone in capacities, so the worst case over at-most-q
 failures is attained by an exactly-q scenario.
 
@@ -73,9 +74,10 @@ class WarmStart:
     at changing capacities.
 
     Empty until the first evaluation fills it for the tree ``tree`` =
-    (q, failure groups).  ``nodes`` maps each kept node's deleted edges to
-    (index of the first group it may still delete, its optimal tableau at
-    ``caps``); the kept nodes sit ``below`` levels above the leaves.
+    (q, failure groups).  ``nodes`` maps each kept node's sorted group
+    indices to its optimal tableau at ``caps``; the kept nodes sit ``below``
+    levels above the leaves.  They are the next evaluation's start nodes,
+    and the base nodes from which it re-solves any parent it does not hold.
     """
 
     caps: np.ndarray | None = None
@@ -92,6 +94,7 @@ class RobustReport:
     pivots_total: int
     scenarios_evaluated: int
     per_scenario_pivots: dict | None = field(default=None, repr=False)
+    per_scenario_seconds: dict | None = field(default=None, repr=False, compare=False)
     context: EvalContext | None = field(default=None, repr=False, compare=False)
 
 
@@ -140,16 +143,18 @@ class _TreeAccumulator:
         self.best = None
         self.values = {} if keep_values else None
         self.pivots = {}
+        self.seconds = {}
         self.count = 0
         self.total_pivots = 0
 
-    def record(self, scenario, value, tableau, pivots):
+    def record(self, scenario, value, tableau, pivots, seconds=0.0):
         if abs(value) <= 1e-9:
             value = 0.0  # float noise around zero, never -0.0
         self.count += 1
         if self.values is not None:
             self.values[scenario] = value
             self.pivots[scenario] = pivots
+            self.seconds[scenario] = seconds
         key = scenario_key(value, scenario, self.sense)
         if self.best is None or key < self.best[0]:
             self.best = (key, value, scenario, tableau)
@@ -160,6 +165,7 @@ class _TreeAccumulator:
         if self.values is not None and other.values is not None:
             self.values.update(other.values)
             self.pivots.update(other.pivots)
+            self.seconds.update(other.seconds)
         if other.best is not None and (self.best is None or other.best[0] < self.best[0]):
             self.best = other.best
 
@@ -175,25 +181,31 @@ class _TreeAccumulator:
             pivots_total=pivots + self.total_pivots,
             scenarios_evaluated=self.count,
             per_scenario_pivots=self.pivots,
+            per_scenario_seconds=self.seconds,
             context=EvalContext(tableau.copy(), scenario, caps, scale=scale),
         )
 
 
 class _Parents:
-    """The optimal nodes one level above the leaves, held for the leaves to
-    choose from: ``nodes`` maps a node's deleted edges to (its tableau, the
-    total primal infeasibility that deleting each group leaves in it)."""
+    """The nodes one level above the leaves, which the leaves are built from.
 
-    def __init__(self, caps, groups):
+    ``scores`` maps each optimal parent's sorted group indices to the total
+    primal infeasibility that deleting each group leaves in it; ``held``
+    maps it to its tableau as well when ``hold`` is set.
+    """
+
+    def __init__(self, caps, groups, hold):
         self.edges = [e for group in groups for e in group]
         # column h: the capacity that deleting group h removes, per edge
         self.drops = np.zeros((len(self.edges), len(groups)))
         owner = [h for h, group in enumerate(groups) for _ in group]
         self.drops[np.arange(len(self.edges)), owner] = caps[self.edges]
-        self.nodes = {}
+        self.hold = hold
+        self.scores = {}
+        self.held = {}
 
-    def hold(self, path, tableau):
-        """Hold ``tableau`` with sum(max(0, -rhs')) after deleting each group,
+    def score(self, picked, tableau):
+        """Score ``tableau`` by sum(max(0, -rhs')) after deleting each group,
         priced by one product ``rhs[:, None] - W @ drops``: a column of W is
         an edge's non-basic slack column, or the unit row of its basic slack."""
         slacks = np.array([tableau.constraint_slacks[e] for e in self.edges], dtype=int)
@@ -201,46 +213,73 @@ class _Parents:
         spread, cols = (slacks[:, None] == tableau.nonbasic_vars).nonzero()
         after = tableau.rhs[:, None] - tableau.tab[:-1, cols] @ self.drops[spread]
         after[rows] -= self.drops[which]
-        self.nodes[path] = (tableau, np.maximum(-after, 0.0).sum(axis=0))
+        self.scores[picked] = np.maximum(-after, 0.0).sum(axis=0)
+        if self.hold:
+            self.held[picked] = tableau
+
+    def assign(self, q):
+        """Assign each leaf of q groups to the parent (the leaf minus one
+        group) that deleting that group leaves least primal infeasible; ties
+        go to the lexicographic parent, which lacks the last group.
+
+        Returns the work items, one per first group of a parent (of a leaf
+        at q = 1), each a list of (parent, its (added group, leaf) pairs) in
+        depth-first order; and the leaves with a missing, infeasible parent.
+        """
+        items, infeasible = {}, []
+        for leaf in combinations(range(self.drops.shape[1]), q):
+            # each parent with the group its leaf adds, the lexicographic first
+            adds = {leaf[:k] + leaf[k + 1:]: leaf[k] for k in range(q - 1, -1, -1)}
+            if not adds.keys() <= self.scores.keys():
+                infeasible.append(leaf)
+                continue
+            parent = min(adds, key=lambda parent: self.scores[parent][adds[parent]])
+            by_parent = items.setdefault((parent or leaf)[0], {})
+            by_parent.setdefault(parent, []).append((adds[parent], leaf))
+        return [sorted(item.items()) for _, item in sorted(items.items())], infeasible
 
 
 class _Walk:
-    """Depth-first warm-started walk of the scenario tree at capacities
-    ``caps``.
-
-    A node copies its parent, tightens one more group and runs one dual solve.
-    Scenarios are recorded as sorted edge tuples in ``acc``, infeasible ones
-    in ``infeasible``; with a ``warm`` start, the optimal nodes of its kept
-    level go to ``warm.nodes`` as well.  With ``parents``, the depth-first
-    walk stops one level above the leaves and holds every optimal node there
-    (all C(g, q - 1) of them), and ``leaves`` builds each leaf from one of
-    its held parents.
+    """Warm-started walk of the scenario tree of q groups at capacities
+    ``caps``, in two phases: ``tree`` walks depth-first down to the parents
+    and scores each in ``parents``; ``leaves`` builds each leaf from the
+    parent that ``parents.assign`` chose, re-solving a parent that is not
+    held from its deepest ancestor in ``bases`` (the root, or a warm start's
+    kept nodes).  A node copies its parent, tightens one more group and runs
+    one dual solve.  Nodes are named by their sorted group indices,
+    scenarios by their sorted edges, in ``acc`` or ``infeasible``.  With a
+    ``warm`` start, the optimal nodes of its kept level go to ``warm.nodes``.
     """
 
-    def __init__(self, caps, groups, value_of, acc, max_pivots=None, on_leaf=None,
-                 warm=None, parents=None):
+    def __init__(self, caps, groups, q, value_of, acc, parents, bases, max_pivots=None,
+                 warm=None):
         self.caps = caps
         self.groups = groups
+        self.q = q
         self.value_of = value_of
         self.acc = acc
         self.infeasible = []
-        self.max_pivots = max_pivots
-        self.on_leaf = on_leaf
-        self.warm = warm
         self.parents = parents
-        # groups still to delete where the depth-first walk stops
-        self.low = int(parents is not None)
+        self.bases = bases
+        self.max_pivots = max_pivots
+        self.warm = warm
+        self.keep = None if warm is None else q - warm.below
 
-    def tree(self, root, q, start=0, stop=None, deleted=()):
-        """Delete q more groups from ``groups[start:]`` below ``root``, optimal
-        with the edges ``deleted`` removed; the first of them below ``stop``
-        (None: any)."""
-        if q == 0:
-            self.acc.record(deleted, self.value_of(root), root, 0)
-            return
-        last = len(self.groups) - q + self.low + 1
-        for g in range(start, last if stop is None else min(stop, last)):
-            self.node(self.child(root, g), tuple(sorted(deleted + self.groups[g])), g + 1, q - 1)
+    def tree(self, node, picked):
+        """Walk below ``node``, optimal with the groups ``picked`` deleted,
+        down to the parents, and score each; at q = 0 the root is the one
+        leaf."""
+        depth = len(picked)
+        if depth == self.q:
+            self.acc.record((), self.value_of(node), node, 0)
+        elif depth == self.q - 1:
+            self.parents.score(picked, node)
+        else:
+            for g in range(picked[-1] + 1 if picked else 0,
+                           len(self.groups) - self.q + depth + 2):
+                child = self.node(self.child(node, g), picked + (g,))
+                if child is not None:
+                    self.tree(child, picked + (g,))
 
     def child(self, parent, g):
         """A copy of ``parent`` with group g deleted: ``tighten_rhs`` on its
@@ -251,54 +290,56 @@ class _Walk:
             shift_rhs(child, {e: -self.caps[e]})
         return child
 
-    def node(self, child, path, start, q):
-        """Re-optimize ``child``, dual feasible with the edges ``path``
-        deleted; then hold or record it, or walk the q groups it still
-        deletes from ``groups[start:]``."""
+    def node(self, child, picked):
+        """Re-optimize ``child``, dual feasible with the groups ``picked``
+        deleted, and record it if it is a leaf: its optimal tableau, or None
+        when the scenario is infeasible."""
         began = time.perf_counter()
         out = dual_simplex(child, self.max_pivots)
-        elapsed = time.perf_counter() - began
+        seconds = time.perf_counter() - began
         self.acc.total_pivots += out.pivot_count
+        leaf = len(picked) == self.q
         if out.status is Status.INFEASIBLE:
-            # every completion of this path only tightens further; below held
-            # parents, ``leaves`` lists those of a parent that is missing
-            if q == 0 or self.parents is None:
-                for rest in combinations(self.groups[start:], q):
-                    self.infeasible.append(tuple(sorted(path + sum(rest, ()))))
-            return
+            if leaf:
+                self.infeasible.append(self.path(picked))
+            return None
         if out.status is not Status.OPTIMAL:
+            path = self.path(picked)
             raise SolverError(f"scenario {path} solve ended with status {out.status.value}",
                               scenario=path)
-        if self.warm is not None and q == self.warm.below:
-            self.warm.nodes[path] = (start, out.tableau)
-        if q > self.low:
-            self.tree(out.tableau, q, start, None, path)
-        elif q:
-            self.parents.hold(path, out.tableau)
-        else:
-            self.acc.record(path, self.value_of(out.tableau), out.tableau, out.pivot_count)
-            if self.on_leaf is not None:
-                self.on_leaf(path, out.pivot_count, elapsed)
+        if len(picked) == self.keep:
+            self.warm.nodes[picked] = out.tableau
+        if leaf:
+            self.acc.record(self.path(picked), self.value_of(out.tableau), out.tableau,
+                            out.pivot_count, seconds)
+        return out.tableau
 
-    def leaves(self, first, q):
-        """Solve every leaf of q groups whose first group is ``first``, each
-        from the held parent (the leaf minus one group) that deleting that
-        group leaves least primal infeasible; ties go to the lexicographic
-        parent, which lacks the last group.  A leaf with a missing
-        (infeasible) parent is infeasible."""
-        for rest in combinations(range(first + 1, len(self.groups)), q - 1):
-            picked = (first, *rest)
-            options = []
-            for k in range(q - 1, -1, -1):
-                parent = self.parents.nodes.get(self.path(picked[:k] + picked[k + 1:]))
-                if parent is None:
-                    self.infeasible.append(self.path(picked))
-                    break
-                tableau, shortfalls = parent
-                options.append((shortfalls[picked[k]], picked[k], tableau))
-            else:
-                _, g, tableau = min(options, key=lambda option: option[0])
-                self.node(self.child(tableau, g), self.path(picked), picked[-1] + 1, 0)
+    def leaves(self, item):
+        """Build the leaves of one work item of ``parents.assign``.  The
+        nodes re-solved to reach a parent stay held until a later parent
+        leaves their path."""
+        resolved = []
+        for parent, pairs in item:
+            tableau = self.parents.held.get(parent)
+            if tableau is None:
+                tableau = self.reach(parent, resolved)
+            for g, leaf in pairs:
+                self.node(self.child(tableau, g), leaf)
+
+    def reach(self, parent, resolved):
+        """``parent`` re-solved along its depth-first path from the deepest
+        node that it shares with ``resolved``, the (groups, tableau) pairs
+        re-solved for the previous parent, else from its deepest base node."""
+        while resolved and parent[:len(resolved[-1][0])] != resolved[-1][0]:
+            resolved.pop()
+        if not resolved:
+            base = next(parent[:k] for k in range(len(parent), -1, -1)
+                        if parent[:k] in self.bases)
+            resolved.append((base, self.bases[base]))
+        for g in parent[len(resolved[-1][0]):]:
+            picked, tableau = resolved[-1]
+            resolved.append((picked + (g,), self.node(self.child(tableau, g), picked + (g,))))
+        return resolved[-1][1]
 
     def path(self, picked):
         """The sorted edges of the groups ``picked``."""
@@ -337,70 +378,68 @@ def _keep_level(warm, root, groups, q):
     depth = next((d for d in range(q, 0, -1) if _fits(root, math.comb(len(groups), d))), 0)
     warm.tree = (q, groups)
     warm.below = q - depth
-    warm.nodes = {(): (0, root)} if depth == 0 else {}
+    warm.nodes = {(): root} if depth == 0 else {}
 
 
 def _evaluate(root, caps, groups, q, value_of, sense, keep_values, workers,
-              max_pivots=None, warm=None, on_leaf=None):
+              max_pivots=None, warm=None):
     """The scenario tree at capacities ``caps``: (pivots spent before the
     tree, accumulator, sorted infeasible scenarios).
 
     ``root()`` returns the optimal tableau with nothing deleted and its
     pivots.  A ``warm`` start that holds nodes skips it: each kept node is
     shifted by the capacity change since the previous evaluation (zero on
-    its deleted edges), re-optimized by dual simplex from its own basis, and
-    the levels below it walked.  Otherwise the full tree runs below
-    ``root()`` and fills ``warm``.  When q >= 2 leaves are still to be built
-    and the C(len(groups), q - 1) nodes above them fit in ``MAX_WARM_BYTES``,
-    all those nodes are solved and held first, and the leaves built from
-    them after.  Both phases share one thread pool.
+    its deleted edges) and re-optimized by dual simplex from its own basis.
+    Otherwise the tree starts at ``root()`` and fills ``warm``.  The first
+    phase walks from these start nodes down to the parents and scores them;
+    the second builds the leaves, each from its chosen parent, held when all
+    C(len(groups), q - 1) parents fit in ``MAX_WARM_BYTES`` and re-solved
+    from the start nodes otherwise.  Both phases share one thread pool.
     """
-    parents = None
+    primed = warm is not None and warm.caps is not None
+    if primed:
+        if warm.tree != (q, groups):
+            raise ValueError("a warm start serves the scenario tree it was filled for")
+        change = caps - warm.caps
+        moved = np.flatnonzero(change).tolist()
+        # taken out first, so that an evaluation that fails leaves no stale node
+        nodes, warm.nodes, warm.caps = warm.nodes, {}, None
+        # the kept nodes, re-solved in the first phase, are the base nodes
+        pivots, bases, tableau = 0, warm.nodes, next(iter(nodes.values()))
+
+        def start(walk, picked):
+            kept = nodes.pop(picked)
+            deleted = walk.path(picked)
+            shift_rhs(kept, {e: change[e] for e in moved if e not in deleted})
+            node = walk.node(kept, picked)
+            if node is not None and len(picked) < q:
+                walk.tree(node, picked)
+    else:
+        tableau, pivots = root()
+        if warm is not None:
+            _keep_level(warm, tableau, groups, q)
+        nodes = bases = {(): tableau}
+
+        def start(walk, picked):
+            walk.tree(tableau, picked)
+
+    parents = _Parents(caps, groups, q > 0 and _fits(tableau, math.comb(len(groups), q - 1)))
 
     def new_walk():
-        return _Walk(caps, groups, value_of, _TreeAccumulator(sense, keep_values),
-                     max_pivots, on_leaf, warm, parents)
+        return _Walk(caps, groups, q, value_of, _TreeAccumulator(sense, keep_values),
+                     parents, bases, max_pivots, warm)
 
-    def held_parents(tableau):
-        # at q = 1 every leaf has one parent, the root
-        if q > 1 and _fits(tableau, math.comb(len(groups), q - 1)):
-            return _Parents(caps, groups)
-        return None
-
+    starts = sorted(nodes)
     pool = None
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        if warm is not None and warm.caps is not None:
-            if warm.tree != (q, groups):
-                raise ValueError("a warm start serves the scenario tree it was filled for")
-            change = caps - warm.caps
-            moved = np.flatnonzero(change).tolist()
-            # taken out first, so that an evaluation that fails leaves no stale node
-            nodes, warm.nodes, warm.caps = warm.nodes, {}, None
-            if warm.below:
-                parents = held_parents(next(iter(nodes.values()))[1])
-
-            def resolve(walk, path):
-                start, tableau = nodes.pop(path)
-                shift_rhs(tableau, {e: change[e] for e in moved if e not in path})
-                walk.node(tableau, path, start, warm.below)
-
-            pivots = 0
-            walks = _run_tree(new_walk, resolve, sorted(nodes), pool)
-        else:
-            tableau, pivots = root()
-            if warm is not None:
-                _keep_level(warm, tableau, groups, q)
-            parents = held_parents(tableau)
-            low = int(parents is not None)
-            firsts = range(len(groups) - q + low + 1) if q else range(1)
-            walks = _run_tree(new_walk, lambda walk, g: walk.tree(tableau, q, g, g + 1),
-                              firsts, pool)
-        if parents is not None:
-            walks += _run_tree(new_walk, lambda walk, first: walk.leaves(first, q),
-                               range(len(groups) - q + 1), pool)
+        walks = _run_tree(new_walk, start, starts, pool)
+        if len(starts[0]) < q:  # the start nodes sit above the leaves
+            items, missing = parents.assign(q)
+            walks[0].infeasible.extend(map(walks[0].path, missing))
+            walks += _run_tree(new_walk, lambda walk, item: walk.leaves(item), items, pool)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -427,9 +466,9 @@ def _solve_cold(net, demands, caps, max_pivots, scenario=None):
 
 
 def _throughput_tree(net, demands, q, b_override, groups, keep_values, workers,
-                     allow_large, max_scenarios, max_pivots, on_leaf=None, warm=None):
-    """Nominal solve and scenario tree of the throughput LP: (capacities,
-    pivots spent before the tree, accumulator)."""
+                     allow_large, max_scenarios, max_pivots, warm=None):
+    """Nominal solve and scenario tree of the throughput LP: (report,
+    pivots spent before the tree)."""
     groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
     caps = _capacities(net, b_override)
 
@@ -440,12 +479,11 @@ def _throughput_tree(net, demands, q, b_override, groups, keep_values, workers,
     pivots, acc, infeasible = _evaluate(
         nominal, caps, groups, q, value_of=lambda t: -t.objective, sense="min",
         keep_values=keep_values, workers=workers, max_pivots=max_pivots, warm=warm,
-        on_leaf=on_leaf,
     )
     if infeasible:
         raise SolverError(f"throughput scenario {infeasible[0]} solve ended with "
                           "status infeasible", scenario=infeasible[0])
-    return caps, pivots, acc
+    return acc.report(pivots, caps, scale=1.0), pivots
 
 
 def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
@@ -460,10 +498,9 @@ def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
     evaluations of a run, re-optimizes the nodes kept at the previous
     capacities instead of solving the nominal LP again.
     """
-    caps, pivots, acc = _throughput_tree(net, demands, q, b_override, groups,
-                                         keep_per_scenario, workers, allow_large,
-                                         max_scenarios, max_pivots, warm=warm)
-    return acc.report(pivots, caps, scale=1.0)
+    report, _ = _throughput_tree(net, demands, q, b_override, groups, keep_per_scenario,
+                                 workers, allow_large, max_scenarios, max_pivots, warm)
+    return report
 
 
 def _robust_latency(net, demands, q, throughput, target, denom, b_override=None,
@@ -545,39 +582,25 @@ def bench_robust_throughput(net, demands, q, b_override=None, allow_large=False,
     of the same scenario, and totals where the warm side includes internal
     tree nodes.
     """
-    warm_rows = {}
-
-    def on_leaf(path, pivots, elapsed):
-        warm_rows[path] = (pivots, elapsed)
-
-    caps, _, acc = _throughput_tree(net, demands, q, b_override, groups, True, 1,
-                                    allow_large, max_scenarios, max_pivots, on_leaf)
+    report, nominal = _throughput_tree(net, demands, q, b_override, groups, True, 1,
+                                       allow_large, max_scenarios, max_pivots)
     rows = []
-    cold_total_pivots = 0
-    cold_total_time = 0.0
-    for scenario, value in sorted(acc.values.items()):
-        scenario_caps = caps.copy()
+    for scenario, value in sorted(report.per_scenario_values.items()):
+        scenario_caps = report.context.capacities.copy()
         scenario_caps[list(scenario)] = 0.0
         began = time.perf_counter()
         cold = _solve_cold(net, demands, scenario_caps, max_pivots, scenario)
         cold_time = time.perf_counter() - began
-        warm_pivots, warm_time = warm_rows.get(scenario, (0, 0.0))
         if abs(value - (-cold.objective)) > 1e-7:
             raise RuntimeError(f"warm/cold value mismatch on scenario {scenario}")
-        cold_total_pivots += cold.pivot_count
-        cold_total_time += cold_time
         rows.append({
             "scenario_edges": scenario,
             "value": value,
-            "warm_pivots": warm_pivots,
+            "warm_pivots": report.per_scenario_pivots[scenario],
             "cold_pivots": cold.pivot_count,
-            "warm_time_s": warm_time,
+            "warm_time_s": report.per_scenario_seconds[scenario],
             "cold_time_s": cold_time,
         })
-    totals = {
-        "warm_pivots": acc.total_pivots,
-        "cold_pivots": cold_total_pivots,
-        "warm_time_s": sum(r["warm_time_s"] for r in rows),
-        "cold_time_s": cold_total_time,
-    }
-    return rows, totals
+    totals = {key: sum(row[key] for row in rows)
+              for key in ("cold_pivots", "warm_time_s", "cold_time_s")}
+    return rows, {"warm_pivots": report.pivots_total - nominal, **totals}

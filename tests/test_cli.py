@@ -387,6 +387,15 @@ class TestExitCodes:
                              "--method", method, "--max-iters", max_iters)
         assert (code, out, err) == (2, "", "error: max-iters must be at least 1\n")
 
+    @pytest.mark.parametrize("alpha, message", [
+        ("inf", "alpha_c must be finite and positive"),
+        ("1e308", "the inverse latency overflows the float range; lower alpha_c"),
+    ])
+    def test_unbounded_alpha_c_is_usage_error(self, capsys, alpha, message):
+        code, out, err = run(capsys, "latency", "--network", RING6, "--latency-kind",
+                             "inverse", "--beta", "0.3", "--alpha-c", alpha)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("suffix, old, new", [
         (".json", '"capacity": 3.0', '"capacity": Infinity'),
         (".json", '"delay": 0.0', '"delay": NaN'),
@@ -474,10 +483,17 @@ class TestFailureGroupFlags:
         ("bench", ["--output", "csv"]),
         ("robustify-throughput", ["--output", "csv"]),
         ("robustify-latency", ["--output", "csv"]),
+        # robustify-latency routes the full demand under the linear model
+        ("robustify-latency", ["--beta", "0.5"]),
+        ("robustify-latency", ["--alpha-c", "1"]),
+        ("robustify-latency", ["--latency-kind", "linear"]),
+        # robust-latency is solvable for the linear model only
+        ("robust-latency", ["--alpha-c", "1"]),
+        ("robust-latency", ["--latency-kind", "linear"]),
     ])
     def test_unused_flags_are_not_registered(self, capsys, command, flag):
         argv = [command, "--network", RING6, "--q", "1", *flag]
-        if command != "bench":
+        if command.startswith("robustify"):
             argv += ["--budget", "1"]
         with pytest.raises(SystemExit) as info:
             main(argv)

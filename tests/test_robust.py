@@ -362,9 +362,15 @@ class TestFailureGroups:
             net, demands).pivot_count
 
 
-# q=2 pivots_total when every leaf starts from its lexicographic parent
+# q=2 pivots_total of the former walk without room for the first-level
+# nodes, where every leaf started from its lexicographic parent
 LEXICOGRAPHIC_Q2_PIVOTS = {"ring6": 368, "ring6-paired": 171, "ring8-s1": 1121,
                            "ring8-s2": 1046, "ring8-s3": 1664}
+# q=2 pivots_total when every first-level parent is re-solved before its leaves
+RESOLVED_Q2_PIVOTS = {"ring6": 250, "ring6-paired": 170, "ring8-s1": 1028,
+                      "ring8-s2": 712, "ring8-s3": 1378}
+# q=3 pivots_total of ring_chords_instance(8, seed): (held, re-solved parents)
+Q3_PIVOTS = {1: (6426, 7516), 2: (4018, 5026)}
 
 
 def _q2_cases():
@@ -374,20 +380,47 @@ def _q2_cases():
     return cases + [("ring6-paired", ring6[1], ring6[2], ring6[3])]
 
 
+def _assert_resolved_parents_match_held(net, demands, q, groups, monkeypatch):
+    """(held, re-solved): the reports with every parent held and with none;
+    each leaf has the same value and pivots in both."""
+    held = robust_throughput(net, demands, q, groups=groups)
+    # no room for the parents: each is re-solved from the root before its leaves
+    monkeypatch.setattr(robust, "MAX_WARM_BYTES", 0)
+    resolved = robust_throughput(net, demands, q, groups=groups)
+    assert resolved.per_scenario_values == held.per_scenario_values
+    assert resolved.per_scenario_pivots == held.per_scenario_pivots
+    assert (resolved.worst_value, resolved.worst_scenario) == (held.worst_value,
+                                                               held.worst_scenario)
+    assert resolved.pivots_total > held.pivots_total
+    return held, resolved
+
+
 class TestParentChoice:
     @pytest.mark.parametrize("case", _q2_cases(), ids=lambda c: c[0])
-    def test_q2_takes_fewer_pivots_than_the_lexicographic_parent(self, case,
-                                                                  monkeypatch):
+    def test_q2_resolved_parents_match_the_held_parents(self, case, monkeypatch):
         name, net, demands, groups = case
-        chosen = robust_throughput(net, demands, 2, groups=groups)
-        # with no room for the first-level nodes, each leaf keeps its
-        # depth-first (lexicographic) parent
+        _, resolved = _assert_resolved_parents_match_held(net, demands, 2, groups,
+                                                          monkeypatch)
+        assert resolved.pivots_total == RESOLVED_Q2_PIVOTS[name]
+        assert resolved.pivots_total < LEXICOGRAPHIC_Q2_PIVOTS[name]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_q3_resolved_parents_match_the_held_parents(self, seed, monkeypatch):
+        net, demands = ring_chords_instance(8, seed)
+        held, resolved = _assert_resolved_parents_match_held(net, demands, 3, None,
+                                                             monkeypatch)
+        assert (held.pivots_total, resolved.pivots_total) == Q3_PIVOTS[seed]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_workers_print_identical_output_without_room(self, q, monkeypatch):
+        _, net, demands, pairs = GROUP_CASES[1]
         monkeypatch.setattr(robust, "MAX_WARM_BYTES", 0)
-        lexicographic = robust_throughput(net, demands, 2, groups=groups)
-        assert lexicographic.pivots_total == LEXICOGRAPHIC_Q2_PIVOTS[name]
-        assert chosen.pivots_total < lexicographic.pivots_total
-        chosen.pivots_total = lexicographic.pivots_total
-        assert serialize_report(chosen) == serialize_report(lexicographic)
+        for groups in (None, pairs):
+            seq = robust_throughput(net, demands, q, groups=groups, workers=1)
+            par = robust_throughput(net, demands, q, groups=groups, workers=2)
+            assert seq.per_scenario_pivots == par.per_scenario_pivots
+            assert serialize_report(seq) == serialize_report(par)
+            assert serialize_report(seq, "csv") == serialize_report(par, "csv")
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("room", [True, False], ids=["chosen", "lexicographic"])
@@ -516,6 +549,24 @@ class TestWarmStart:
         for g, w in zip(got, want):
             _assert_same(g, w)
 
+    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_q3_resolves_parents_from_the_kept_nodes(self, level, paired, monkeypatch):
+        # the second-level parents never fit: each evaluation re-solves them
+        # from the kept root or first-level nodes
+        case = GROUP_CASES[0]
+        if level:
+            _keep_first_level(monkeypatch, case[1], case[2])
+        else:
+            monkeypatch.setattr(robust, "MAX_WARM_BYTES", 0)
+        got, want, warm = _walk_warm(case, 3, paired, "throughput")
+        assert warm.below == 3 - level
+        # every first-level node that a second group can follow
+        n_groups = len(case[3]) if paired else case[1].n_edges
+        assert len(warm.nodes) == (1 if level == 0 else n_groups - 1)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+
     @pytest.mark.parametrize("method", ["cutting-plane", "subgradient"])
     @pytest.mark.parametrize("case", GROUP_CASES[:2], ids=lambda c: c[0])
     def test_robustify_with_level_one_kept_matches_cold(self, case, method, monkeypatch):
@@ -599,6 +650,26 @@ class TestWarmStart:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_threads_resolve_every_parent(self, monkeypatch):
+        # no second-level parent is held: the threads of one evaluation
+        # re-solve them from the shared kept first-level nodes
+        _, net, demands, pairs = GROUP_CASES[0]
+        _keep_first_level(monkeypatch, net, demands)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            warm, seq = robust.WarmStart(), robust.WarmStart()
+            for caps in _capacity_path(net, seed=7, steps=3):
+                got = robust_throughput(net, demands, 3, b_override=caps, groups=pairs,
+                                        warm=warm, workers=4)
+                want = robust_throughput(net, demands, 3, b_override=caps, groups=pairs,
+                                         warm=seq)
+                assert warm.below == 2 and sorted(warm.nodes) == sorted(seq.nodes)
+                assert got.per_scenario_pivots == want.per_scenario_pivots
+                assert serialize_report(got) == serialize_report(want)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_kept_nodes_are_resolved_through_the_robust_module(self, monkeypatch):
         _, net, demands, _ = GROUP_CASES[1]
         warm = robust.WarmStart()
@@ -611,7 +682,7 @@ class TestWarmStart:
             return original(tableau, *args, **kwargs)
 
         monkeypatch.setattr(robust, "dual_simplex", counted)
-        kept = [tableau for _, tableau in warm.nodes.values()]
+        kept = list(warm.nodes.values())
         robust_throughput(net, demands, 1, b_override=net.capacities + 1.0, warm=warm)
         assert len(calls) == len(kept) == net.n_edges
         assert all(a is b for a, b in zip(calls, kept))
@@ -620,7 +691,7 @@ class TestWarmStart:
         _, net, demands, _ = GROUP_CASES[1]
         warm = robust.WarmStart()
         first = robust_throughput(net, demands, 1, warm=warm)
-        kept = {id(tableau) for _, tableau in warm.nodes.values()}
+        kept = {id(tableau) for tableau in warm.nodes.values()}
         assert id(first.context.worst_tableau) not in kept
         before = first.context.worst_tableau.copy()
         robust_throughput(net, demands, 1, b_override=net.capacities + 5.0, warm=warm)
