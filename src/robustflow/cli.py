@@ -203,7 +203,7 @@ def _cmd_robustify_latency(args):
     doc = _load_instance(args)
     # the full demand under the linear model: no load ratio or latency kind
     alloc, history = robustify_latency_linear(
-        doc.network, doc.demands, args.q, args.budget, LatencyConfig(), method=args.method,
+        doc.network, doc.demands, args.q, args.budget, method=args.method,
         **_method_options(args), **_tree_options(doc, args),
     )
     _emit({

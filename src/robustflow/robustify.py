@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .flows import LatencyKind, solve_throughput
+from .flows import solve_throughput
 from .robust import WarmStart, _robust_latency, robust_throughput, worst_scenario_subgradient
 from .simplex import SimplexTableau, Status, add_cut_row, dual_simplex
 
@@ -219,18 +219,17 @@ def robustify_throughput_cutting_plane(net, demands, q, budget, tol=1e-7,
     return BudgetAllocation(x), model, [-v for v in history]
 
 
-def robustify_latency_linear(net, demands, q, budget, cfg,
-                             method="cutting-plane", steps=1000,
-                             step_rule=None, tol=1e-7, max_iters=100, **tree):
-    """Allocate the capacity budget to minimize the worst-case total delay.
+def robustify_latency_linear(net, demands, q, budget, method="cutting-plane",
+                             steps=1000, step_rule=None, tol=1e-7, max_iters=100,
+                             **tree):
+    """Allocate the capacity budget to minimize the worst-case total delay
+    under the linear delay model.
 
     The inner problem routes the full demand (no throughput scaling) and its
     objective is the unnormalized total delay; a scenario that cannot carry
     the full demand at zero increment aborts with the offending scenarios.
     ``tree`` holds the scenario-tree options of ``robust_throughput``.
     """
-    if cfg.kind is not LatencyKind.LINEAR:
-        raise ValueError("latency robustification requires the linear model")
     warm = WarmStart()
 
     def evaluate(caps):

@@ -14,11 +14,10 @@ given in place.  The dual simplex is the primal simplex on the transposed
 array ``tab.T`` (Chvatal 1983, ch. 10): there the rhs prices the columns and
 a negated tableau row is the ratio line.  Pricing is exact steepest edge
 (Forrest & Goldfarb 1992), the argmax of ``c_j**2 / (1 + ||line_j||**2)``
-with the norms recomputed each iteration.  After ``NONIMPROVING_LIMIT``
-consecutive pivots that leave the objective unchanged it falls back to
-Bland's smallest-index rule until the objective moves, which guarantees
-termination on degenerate LPs.  Ratio tests take the minimum ratio, ties
-broken by the smallest variable index.
+with the norms recomputed each iteration.  Ratio ties go to the largest
+variable index.  While the objective stays put each basis is recorded, and
+when one recurs pricing falls back to Bland's rule under that same order
+until the objective moves, which guarantees termination (Bland 1977).
 
 The warm-start transformations used throughout the package are a signed
 shift of the right-hand sides of inequalities via their slack variables
@@ -45,9 +44,6 @@ from .errors import (
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
-# consecutive pivots that leave the objective unchanged before both solvers
-# switch from steepest-edge pricing to Bland's rule until the objective moves
-NONIMPROVING_LIMIT = 200
 
 
 class Status(enum.Enum):
@@ -222,13 +218,13 @@ def _choose(values, lines, labels, bland):
     ``lines`` holds the tableau line of each candidate as a column.
     Steepest edge takes the argmax of ``values**2 / (1 + ||line||**2)``, with
     the norms recomputed exactly over the whole array; ``bland`` takes the
-    candidate with the smallest variable index in ``labels`` instead.
+    candidate with the largest variable index in ``labels`` instead.
     """
     eligible = values < -FEAS_TOL
     if not eligible.any():
         return None
     if bland:
-        return int(np.flatnonzero(eligible)[np.argmin(labels[eligible])])
+        return int(np.flatnonzero(eligible)[np.argmax(labels[eligible])])
     norms = np.einsum("ij,ij->j", lines, lines)
     return int(np.argmax(np.where(eligible, values * values / (1.0 + norms), -1.0)))
 
@@ -248,9 +244,9 @@ def _simplex(t, max_pivots, dual):
     sign = -1.0 if dual else 1.0
     if max_pivots is None:
         max_pivots = default_max_pivots(t)
-    pivots = nonimproving = 0
+    pivots, visited, bland = 0, set(), False
     while True:
-        j = _choose(a[-1, :-1], a[:-1, :-1], col_vars, nonimproving >= NONIMPROVING_LIMIT)
+        j = _choose(a[-1, :-1], a[:-1, :-1], col_vars, bland)
         if j is None:
             return SolveOutcome(Status.OPTIMAL, t, t.objective, pivots)
         line = sign * a[:-1, j]
@@ -260,13 +256,18 @@ def _simplex(t, max_pivots, dual):
             return SolveOutcome(status, t, t.objective, pivots)
         ratios = a[rows, -1] / line[rows]
         ties = rows[ratios <= ratios.min() + FEAS_TOL]
-        i = int(ties[np.argmin(row_vars[ties])])
+        i = int(ties[np.argmax(row_vars[ties])])
         if pivots >= max_pivots:
             return SolveOutcome(Status.ITERATION_LIMIT, t, t.objective, pivots)
         corner = t.cost_corner
         t.pivot(*((j, i) if dual else (i, j)))
-        nonimproving = nonimproving + 1 if abs(t.cost_corner - corner) <= FEAS_TOL else 0
         pivots += 1
+        if abs(t.cost_corner - corner) > FEAS_TOL:
+            visited, bland = set(), False
+        elif not bland:
+            basis = np.sort(t.basic_vars).tobytes()
+            bland = basis in visited
+            visited.add(basis)
 
 
 def primal_simplex(tableau, max_pivots=None):

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from robustflow import (
     DemandMatrix,
-    LatencyConfig,
-    LatencyKind,
     Network,
     project_budget_simplex,
     robust_throughput,
@@ -174,25 +172,22 @@ class TestRobustifyLatency:
 
     def test_cutting_plane_matches_closed_form(self):
         net, demands = self.three_route_net()
-        cfg = LatencyConfig(LatencyKind.LINEAR)
-        alloc, history = robustify_latency_linear(net, demands, 1, 1.0, cfg,
+        alloc, history = robustify_latency_linear(net, demands, 1, 1.0,
                                                   method="cutting-plane")
         assert history[-1] == pytest.approx(10.0, abs=1e-7)
         assert self.oracle_value(alloc.delta_b) == pytest.approx(10.0, abs=1e-6)
 
     def test_subgradient_approaches_closed_form(self):
         net, demands = self.three_route_net()
-        cfg = LatencyConfig(LatencyKind.LINEAR)
         _, history = robustify_latency_linear(
-            net, demands, 1, 1.0, cfg, method="subgradient",
+            net, demands, 1, 1.0, method="subgradient",
             steps=300, step_rule=lambda t: 0.5 * 0.97 ** t,
         )
         assert history[-1] == pytest.approx(10.0, abs=5e-3)
 
     def test_zero_budget(self):
         net, demands = self.three_route_net()
-        cfg = LatencyConfig(LatencyKind.LINEAR)
-        alloc, history = robustify_latency_linear(net, demands, 1, 0.0, cfg)
+        alloc, history = robustify_latency_linear(net, demands, 1, 0.0)
         np.testing.assert_allclose(alloc.delta_b, 0.0)
         assert history[-1] == pytest.approx(self.oracle_value(np.zeros(3)))
 
@@ -208,8 +203,7 @@ class TestRobustifyLatency:
         # worst case is max(12 - 8*d1, 11 - 9*d0, 3 - d0); with budget 1 the
         # two binding pieces equalize at d0 = 7/17, value 124/17
         net, demands = self.two_cheap_routes_net()
-        cfg = LatencyConfig(LatencyKind.LINEAR)
-        alloc, history = robustify_latency_linear(net, demands, 1, 1.0, cfg,
+        alloc, history = robustify_latency_linear(net, demands, 1, 1.0,
                                                   method="cutting-plane")
         assert history[-1] == pytest.approx(124.0 / 17.0, abs=1e-6)
         assert alloc.delta_b[0] == pytest.approx(7.0 / 17.0, abs=1e-5)
@@ -218,20 +212,13 @@ class TestRobustifyLatency:
     def test_zero_delays_stay_at_origin(self, demand_ab):
         # wide enough that every single-deletion scenario carries the demand
         net = Network(2, [(0, 1, 6.0, 0.0), (0, 1, 5.0, 0.0)])
-        cfg = LatencyConfig(LatencyKind.LINEAR)
-        alloc, history = robustify_latency_linear(net, demand_ab, 1, 1.0, cfg)
+        alloc, history = robustify_latency_linear(net, demand_ab, 1, 1.0)
         np.testing.assert_allclose(alloc.delta_b, 0.0, atol=1e-9)
         assert history[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_disconnecting_scenario_raises(self, net_b, demand_ab):
-        cfg = LatencyConfig(LatencyKind.LINEAR)
         with pytest.raises(ScenarioInfeasible):
-            robustify_latency_linear(net_b, demand_ab, 1, 1.0, cfg)
-
-    def test_rejects_nonlinear_kind(self, net_a, demand_ab):
-        with pytest.raises(ValueError):
-            robustify_latency_linear(net_a, demand_ab, 1, 1.0,
-                                     LatencyConfig(LatencyKind.INVERSE))
+            robustify_latency_linear(net_b, demand_ab, 1, 1.0)
 
     def test_rejects_unknown_method(self, net_a, demand_ab, monkeypatch):
         net, demands = self.three_route_net()
@@ -239,16 +226,13 @@ class TestRobustifyLatency:
         monkeypatch.setattr(robustify, "_robust_latency",
                             lambda *args, **kwargs: evaluations.append(args))
         with pytest.raises(ValueError, match="unknown method"):
-            robustify_latency_linear(net, demands, 1, 1.0,
-                                     LatencyConfig(LatencyKind.LINEAR),
-                                     method="newton")
+            robustify_latency_linear(net, demands, 1, 1.0, method="newton")
         assert evaluations == []
 
 
 def _latency(method):
     def run(net, demands, q, budget):
-        return robustify_latency_linear(net, demands, q, budget,
-                                        LatencyConfig(LatencyKind.LINEAR), method=method)
+        return robustify_latency_linear(net, demands, q, budget, method=method)
     return run
 
 

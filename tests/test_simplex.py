@@ -458,19 +458,64 @@ def beale_tableau():
     )
 
 
+def relabelled_beale_tableau():
+    """Beale's LP with every variable k renamed 6 - k, so that ties going to
+    the largest index make the same choices that cycle on the original."""
+    t = beale_tableau()
+    return SimplexTableau(6 - t.basic_vars, 6 - t.nonbasic_vars, t.body, t.rhs,
+                          t.cost_row)
+
+
+def force_bland(monkeypatch):
+    """Price every pivot of both solvers by Bland's rule."""
+    choose = simplex._choose
+    monkeypatch.setattr(simplex, "_choose",
+                        lambda values, lines, labels, bland: choose(values, lines, labels, True))
+
+
 class TestPricing:
-    @pytest.mark.parametrize("limit", [0, 1, simplex.NONIMPROVING_LIMIT])
-    def test_beale_terminates_at_optimum(self, monkeypatch, limit):
-        monkeypatch.setattr(simplex, "NONIMPROVING_LIMIT", limit)
+    @pytest.mark.parametrize("forced", [False, True], ids=["priced", "bland"])
+    def test_beale_terminates_at_optimum(self, monkeypatch, forced):
+        if forced:
+            force_bland(monkeypatch)
         out = primal_simplex(beale_tableau())
         assert out.status is Status.OPTIMAL
         assert out.objective == pytest.approx(-0.05, abs=1e-12)
         point = out.tableau.solution_point()
         np.testing.assert_allclose(point[[3, 5]], [0.04, 1.0], atol=1e-12)
 
+    def test_repeated_basis_ends_dantzig_cycling(self, monkeypatch):
+        # Dantzig's most negative reduced cost cycles on the relabelled LP
+        # under largest-index ties; the recurring basis must switch to Bland
+        calls = []
+        choose = simplex._choose
+
+        def dantzig(values, lines, labels, bland):
+            calls.append(bland)
+            if bland:
+                return choose(values, lines, labels, bland)
+            eligible = values < -simplex.FEAS_TOL
+            return int(np.argmin(np.where(eligible, values, 0.0))) if eligible.any() else None
+
+        monkeypatch.setattr(simplex, "_choose", dantzig)
+        out = primal_simplex(relabelled_beale_tableau(), max_pivots=100)
+        assert out.status is Status.OPTIMAL
+        assert out.objective == pytest.approx(-0.05, abs=1e-12)
+        point = out.tableau.solution_point()
+        np.testing.assert_allclose(point[[3, 1]], [0.04, 1.0], atol=1e-12)
+        assert any(calls)
+
+    def test_ring_chords_22_q1_without_stalling(self):
+        # smallest-index ties and a 200-pivot Bland fallback took 10 742
+        net, demands = ring_chords_instance(22, 3)
+        report = robust_throughput(net, demands, 1)
+        assert report.worst_value == pytest.approx(2.534883721, abs=1e-9)
+        assert report.worst_scenario == (60,)
+        assert report.pivots_total <= 5000
+
     def test_forced_fallback_gives_same_optima(self, monkeypatch):
-        # limit 0 prices every pivot by Bland's rule in both solvers; the
-        # ring instance is large enough for the two rules to pivot differently
+        # Bland's rule prices every pivot in both solvers; the ring instance
+        # is large enough for the two rules to pivot differently
         corpus = random_corpus(count=12) + [ring_chords_instance(8, 1)]
 
         def solve_all():
@@ -485,13 +530,13 @@ class TestPricing:
             return np.array(values), pivots
 
         priced, priced_pivots = solve_all()
-        monkeypatch.setattr(simplex, "NONIMPROVING_LIMIT", 0)
+        force_bland(monkeypatch)
         bland, bland_pivots = solve_all()
         np.testing.assert_allclose(bland, priced, rtol=0, atol=1e-9)
         assert bland_pivots != priced_pivots  # the fallback was really taken
 
     def test_forced_fallback_matches_brute_force(self, monkeypatch):
-        monkeypatch.setattr(simplex, "NONIMPROVING_LIMIT", 0)
+        force_bland(monkeypatch)
         rng = np.random.default_rng(11)
         for _ in range(30):
             lp = random_standard_form(rng)
