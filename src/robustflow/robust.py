@@ -39,7 +39,6 @@ import numpy as np
 from .errors import NoTableau, ScenarioInfeasible, ScenarioLimitExceeded, SolverError
 from .flows import (
     build_throughput_tableau,
-    latency_cost_vector,
     pin_throughput_tableau,
     solve_throughput,
     LatencyKind,
@@ -503,23 +502,23 @@ def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
     return report
 
 
-def _robust_latency(net, demands, q, throughput, target, denom, b_override=None,
+def _robust_latency(net, demands, q, target, denom, b_override=None,
                     keep_per_scenario=True, workers=1, allow_large=False,
                     max_scenarios=MAX_SCENARIOS, max_pivots=None, groups=None,
                     warm=None):
-    """Worst-case total delay divided by ``denom`` with the throughput pinned
-    to ``target``, warm-started from ``throughput``, the optimal
-    ``ThroughputSolution`` at capacities ``b_override``.  The reported
-    pivots leave out that throughput solve.  A ``warm`` start that holds
-    nodes needs no ``throughput``; it assumes ``target`` and ``denom`` stay
-    as they were when it was filled.
+    """Worst-case total delay divided by ``denom`` with the throughput fixed
+    at ``target``.  The root is the linear latency LP at capacities
+    ``b_override``, solved by dual simplex from shortest-delay trees
+    (``pin_throughput_tableau``); a root that cannot route ``target``
+    raises ScenarioInfeasible for the empty scenario.  A ``warm`` start
+    that holds nodes skips the root; it assumes ``target`` and ``denom``
+    stay as they were when it was filled.
     """
     groups = _check_gate(net.n_edges, groups, q, allow_large, max_scenarios)
     caps = _capacities(net, b_override)
 
     def pinned():
-        cost = latency_cost_vector(net, throughput.var_map)
-        tableau, pivots = pin_throughput_tableau(throughput, target, cost, max_pivots)
+        tableau, pivots = pin_throughput_tableau(net, demands, target, caps, max_pivots)
         if tableau is None:
             raise ScenarioInfeasible([()])
         return tableau, pivots
@@ -539,7 +538,8 @@ def robust_latency_linear(net, demands, q, cfg, b_override=None, **kwargs):
 
     The routed fraction is pinned at beta times the nominal maximal
     throughput in every scenario; a scenario that cannot carry that load
-    raises ScenarioInfeasible listing the offending edge sets.
+    raises ScenarioInfeasible listing the offending edge sets.  The reported
+    pivots leave out the throughput solve that finds that maximum.
     """
     if cfg.kind is not LatencyKind.LINEAR:
         raise ValueError("robust latency is only solvable for the linear model")
@@ -547,7 +547,7 @@ def robust_latency_linear(net, demands, q, cfg, b_override=None, **kwargs):
     throughput = solve_throughput(net, demands, caps, kwargs.get("max_pivots"))
     target = cfg.beta * throughput.lambda_star
     denom = target * demands.total()
-    return _robust_latency(net, demands, q, throughput, target, denom, caps, **kwargs)
+    return _robust_latency(net, demands, q, target, denom, caps, **kwargs)
 
 
 def worst_scenario_subgradient(context, b_current):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .flows import solve_throughput
 from .robust import WarmStart, _robust_latency, robust_throughput, worst_scenario_subgradient
 from .simplex import SimplexTableau, Status, add_cut_row, dual_simplex
 
@@ -233,11 +232,8 @@ def robustify_latency_linear(net, demands, q, budget, method="cutting-plane",
     warm = WarmStart()
 
     def evaluate(caps):
-        # only the first evaluation starts from the throughput optimum
-        throughput = None if warm.caps is not None else solve_throughput(net, demands, caps)
-        return _robust_latency(net, demands, q, throughput, target=1.0, denom=1.0,
-                               b_override=caps, keep_per_scenario=False, warm=warm,
-                               **tree)
+        return _robust_latency(net, demands, q, target=1.0, denom=1.0, b_override=caps,
+                               keep_per_scenario=False, warm=warm, **tree)
 
     objective = _robust_objective(evaluate, net.capacities, 1.0)
     if method == "subgradient":

@@ -319,7 +319,7 @@ class TestRing6PivotCounts:
         (["robust-throughput", "--q", "2"], "pivots_total", 246),
         (["robust-throughput", "--q", "1", "--paired-failure"], "pivots_total", 46),
         (["robust-throughput", "--q", "2", "--paired-failure"], "pivots_total", 165),
-        (["robust-latency", "--q", "1", "--beta", "0.3"], "pivots_total", 16),
+        (["robust-latency", "--q", "1", "--beta", "0.3"], "pivots_total", 10),
     ])
     def test_printed_pivots(self, capsys, argv, key, pivots):
         code, out, _ = run(capsys, argv[0], "--network", RING6, *argv[1:])
@@ -563,10 +563,10 @@ class TestTracerCounting:
     def test_one_inner_evaluation_per_outer_evaluation(self, capsys, monkeypatch,
                                                        command, inner, extra):
         from robustflow import flows, robustify
-        evals = self.count(monkeypatch, robustify,
-                           [inner, "worst_scenario_subgradient", "solve_throughput"])
+        evals = self.count(monkeypatch, robustify, [inner, "worst_scenario_subgradient"])
         builds = [self.count(monkeypatch, module, ["build_throughput_tableau"])
                   for module in (flows, robust)]
+        solves = self.count(monkeypatch, robust, ["solve_throughput", "pin_throughput_tableau"])
         code, out, _ = run(capsys, command, "--network", RING6, "--q", "1",
                            "--budget", "40", *extra)
         assert code == 0
@@ -574,9 +574,12 @@ class TestTracerCounting:
         assert evals[inner] == evals["worst_scenario_subgradient"] == count
         if command == "robustify-throughput":
             assert evals[inner] == json.loads(out)["iterations"]
-        # one tableau build and, for latency, one throughput solve per run
-        assert evals["solve_throughput"] == (command == "robustify-latency")
-        assert sum(b["build_throughput_tableau"] for b in builds) == 1
+        # one tableau build per run: the throughput LP's, or for latency the
+        # latency LP's, with no throughput solve
+        latency = command == "robustify-latency"
+        assert solves["solve_throughput"] == 0
+        assert sum(b["build_throughput_tableau"] for b in builds) == (not latency)
+        assert solves["pin_throughput_tableau"] == latency
 
     def test_kept_nodes_are_resolved_through_the_robust_module(self, capsys,
                                                                monkeypatch):

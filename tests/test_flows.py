@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -15,9 +17,19 @@ from robustflow import (
     solve_latency_linear,
     solve_throughput,
 )
-from robustflow.errors import InfeasibleSystem, SaturatedEdge, ZeroThroughput
-from robustflow.flows import build_throughput_tableau
+from robustflow.errors import (
+    InfeasibleSystem,
+    SaturatedEdge,
+    ScenarioInfeasible,
+    ZeroThroughput,
+)
+from robustflow.flows import (
+    build_latency_tableau,
+    build_throughput_tableau,
+    pin_throughput_tableau,
+)
 from robustflow.network import demand_laplacian, incidence_matrix, rank_reduce
+from robustflow.robustify import robustify_latency_linear
 from robustflow.simplex import primal_simplex
 
 from conftest import (
@@ -281,6 +293,61 @@ class TestLatencyLinear:
             assert (warm.flows[:, silent_sources(demands)] == 0.0).all()
             np.testing.assert_allclose(incidence_matrix(net) @ warm.flows,
                                        -target * demand_laplacian(demands), atol=1e-8)
+
+
+def latency_corpus():
+    """random_corpus seeds 1-40 and four ring_chords_instance draws."""
+    corpus = [case for seed in range(1, 41) for case in random_corpus(seed=seed)]
+    return corpus + [ring_chords_instance(n, seed)
+                     for n, seed in ((6, 0), (8, 1), (10, 5), (12, 2))]
+
+
+class TestLatencyStart:
+    def test_start_is_dual_feasible(self):
+        one_way = split = 0
+        for net, demands in latency_corpus():
+            graph = nx.MultiDiGraph()
+            graph.add_nodes_from(range(net.n_vertices))
+            graph.add_edges_from((e.tail, e.head) for e in net.edges)
+            split += nx.number_weakly_connected_components(graph) > 1
+            one_way += any(
+                len(nx.descendants(graph, s)) + 1 < len(nx.node_connected_component(
+                    graph.to_undirected(as_view=True), s))
+                for s in np.flatnonzero(demands.entries.sum(axis=1)))
+            tableau, _ = build_latency_tableau(net, demands, target=1.0)
+            assert tableau.is_dual_feasible()
+        # the corpus exercises the reverse sweeps and the further components
+        assert one_way > 50 and split > 50
+
+    @pytest.mark.parametrize("beta", [0.3, 0.9, 1.0])
+    def test_linear_latency_matches_lp_oracle(self, beta):
+        cfg = LatencyConfig(LatencyKind.LINEAR, beta=beta)
+        checked = 0
+        for net, demands in latency_corpus():
+            thr = solve_throughput(net, demands)
+            if thr.lambda_star <= 1e-9:
+                continue
+            target = beta * thr.lambda_star
+            sol = solve_latency_linear(net, demands, cfg, thr)
+            cold = cold_latency(net, demands, target)
+            assert sol.latency * target * demands.total() == pytest.approx(cold, abs=1e-7)
+            checked += 1
+        assert checked > 400
+
+    def test_target_above_the_maximum_is_infeasible(self, net_c, demand_c):
+        thr = solve_throughput(net_c, demand_c)
+        tableau, _ = pin_throughput_tableau(net_c, demand_c, 1.01 * thr.lambda_star)
+        assert tableau is None
+        inflated = dataclasses.replace(thr, lambda_star=2.0 * thr.lambda_star)
+        with pytest.raises(InfeasibleSystem):
+            solve_latency_linear(net_c, demand_c, LatencyConfig(LatencyKind.LINEAR, 0.9),
+                                 inflated)
+
+    def test_robustify_latency_needs_the_full_demand(self, net_b, demand_ab):
+        # the maximal throughput is 0.75, so the full demand cannot be routed
+        with pytest.raises(ScenarioInfeasible) as info:
+            robustify_latency_linear(net_b, demand_ab, 0, 1.0)
+        assert info.value.scenarios == [()]
 
 
 def test_latency_flows_carry_no_float_noise():

@@ -464,11 +464,8 @@ def _evaluator(kind, net, demands, q, groups):
     target = 0.1 * solve_throughput(net, demands).lambda_star
 
     def evaluate(caps, warm=None, workers=1):
-        primed = warm is not None and warm.caps is not None
-        throughput = None if primed else solve_throughput(net, demands, caps)
-        return robust._robust_latency(net, demands, q, throughput, target, 1.0,
-                                      b_override=caps, groups=groups, warm=warm,
-                                      workers=workers)
+        return robust._robust_latency(net, demands, q, target, 1.0, b_override=caps,
+                                      groups=groups, warm=warm, workers=workers)
     return evaluate
 
 
