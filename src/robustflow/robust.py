@@ -25,6 +25,11 @@ Budget allocation evaluates the same tree at many capacity vectors.  A
 evaluation to the next: a capacity change moves only right-hand sides, so
 each kept node stays dual feasible after ``shift_rhs`` and is re-optimized
 from its own basis instead of being rebuilt and reached again from the root.
+When the kept nodes are the leaves and only the worst scenario is wanted, a
+leaf's old optimal flows bound its new value: scaled into the new
+capacities for throughput, as they are where they fit them for latency.
+The leaves are then re-solved serially in bound order, and a leaf whose
+bound already sorts after the worst case found so far is not re-solved.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from .flows import (
     LatencyKind,
 )
 from .simplex import (
+    FEAS_TOL,
     Status,
     dual_simplex,
     primal_simplex,
-    rhs_sensitivity,
     shift_rhs,
     tighten_rhs,
 )
@@ -74,12 +79,15 @@ class WarmStart:
 
     Empty until the first evaluation fills it for the tree ``tree`` =
     (q, failure groups).  ``nodes`` maps each kept node's sorted group
-    indices to its optimal tableau at ``caps``; the kept nodes sit ``below``
+    indices to its optimal tableau, and ``caps`` maps them to the capacities
+    that tableau is optimal at: those of the last evaluation, or of an
+    earlier one for a leaf that its bound let the later ones skip.  ``caps``
+    is None until an evaluation succeeds.  The kept nodes sit ``below``
     levels above the leaves.  They are the next evaluation's start nodes,
     and the base nodes from which it re-solves any parent it does not hold.
     """
 
-    caps: np.ndarray | None = None
+    caps: dict | None = None
     nodes: dict = field(default_factory=dict)
     below: int = 0
     tree: tuple = ()
@@ -380,37 +388,97 @@ def _keep_level(warm, root, groups, q):
     warm.nodes = {(): root} if depth == 0 else {}
 
 
-def _evaluate(root, caps, groups, q, value_of, sense, keep_values, workers,
+def _scaled_throughput(values, loads, caps):
+    """Throughput that each leaf's old optimal flows keep once scaled into
+    ``caps``: its value times min(1, caps / load) over its loaded edges."""
+    ratios = np.divide(caps, loads, out=np.full(loads.shape, np.inf), where=loads > 0)
+    return values * np.minimum(1.0, ratios.min(axis=1))
+
+
+def _fitting_latency(values, loads, caps):
+    """Delay of each leaf's old optimal flows where they fit ``caps``; NaN,
+    no bound, where some edge's load exceeds its new capacity."""
+    return np.where((loads <= caps).all(axis=1), values, np.nan)
+
+
+def _leaf_bounds(walk, nodes, kept_caps, bound_of):
+    """``bound_of(values, loads, caps)`` over the kept leaves ``nodes``, in
+    their order: the loads of a leaf's optimal flows are the capacities it
+    is optimal at less its slack values, and zero on its deleted edges."""
+    picked = list(nodes)
+    tableaux = list(nodes.values())
+    slacks = [tableaux[0].constraint_slacks[e] for e in range(walk.caps.size)]
+    point = np.zeros((len(tableaux), tableaux[0]._n_vars()))
+    point[np.arange(len(tableaux))[:, None], [t.basic_vars for t in tableaux]] = [
+        t.tab[:-1, -1] for t in tableaux]
+    loads = np.array([kept_caps[p] for p in picked]) - point[:, slacks]
+    paths = [walk.path(p) for p in picked]
+    loads[[row for row, path in enumerate(paths) for _ in path],
+          [e for path in paths for e in path]] = 0.0
+    values = np.array([walk.value_of(t) for t in tableaux])
+    return bound_of(values, loads, walk.caps)
+
+
+def _bounded_leaves(walk, nodes, kept_caps, bound_of, shift):
+    """Re-solve the kept leaves ``nodes`` on ``walk``, from the most to the
+    least likely worst by ``_leaf_bounds``, leaving in ``nodes`` each leaf
+    whose bound, moved a relative ``FEAS_TOL`` toward the worse side, sorts
+    after the worst case found so far: its value cannot be the worst.
+    ``shift(walk, picked)`` pops a leaf from ``nodes``, ready for its dual
+    solve.  The skipped leaves count as evaluated scenarios."""
+    sense = walk.acc.sense
+    bounds = _leaf_bounds(walk, nodes, kept_caps, bound_of)
+    worse = bounds - FEAS_TOL * np.abs(bounds) * (1.0 if sense == "min" else -1.0)
+    keys = {picked: scenario_key(bound, walk.path(picked), sense)
+            for picked, bound in zip(nodes, worse.tolist()) if not math.isnan(bound)}
+    for picked in [p for p in nodes if p not in keys] + sorted(keys, key=keys.get):
+        best = walk.acc.best
+        if best is None or picked not in keys or keys[picked] <= best[0]:
+            walk.node(shift(walk, picked), picked)
+    walk.acc.count += len(nodes)
+
+
+def _evaluate(root, caps, groups, q, value_of, bound_of, sense, keep_values, workers,
               max_pivots=None, warm=None):
     """The scenario tree at capacities ``caps``: (pivots spent before the
     tree, accumulator, sorted infeasible scenarios).
 
     ``root()`` returns the optimal tableau with nothing deleted and its
     pivots.  A ``warm`` start that holds nodes skips it: each kept node is
-    shifted by the capacity change since the previous evaluation (zero on
-    its deleted edges) and re-optimized by dual simplex from its own basis.
-    Otherwise the tree starts at ``root()`` and fills ``warm``.  The first
-    phase walks from these start nodes down to the parents and scores them;
-    the second builds the leaves, each from its chosen parent, held when all
+    shifted by the capacity change since it was solved (zero on its deleted
+    edges) and re-optimized by dual simplex from its own basis.  Otherwise
+    the tree starts at ``root()`` and fills ``warm``.  The first phase walks
+    from these start nodes down to the parents and scores them; the second
+    builds the leaves, each from its chosen parent, held when all
     C(len(groups), q - 1) parents fit in ``MAX_WARM_BYTES`` and re-solved
     from the start nodes otherwise.  Both phases share one thread pool.
+
+    When the kept nodes are the leaves and no per-scenario values are kept,
+    ``bound_of(values, loads, caps)`` bounds each leaf's value at ``caps``
+    from its old optimal flows, and ``_bounded_leaves`` re-solves, serially
+    and with no pool, only the leaves whose bound does not rule them out;
+    the others stay kept at the capacities they are optimal at.
     """
     primed = warm is not None and warm.caps is not None
     if primed:
         if warm.tree != (q, groups):
             raise ValueError("a warm start serves the scenario tree it was filled for")
-        change = caps - warm.caps
-        moved = np.flatnonzero(change).tolist()
         # taken out first, so that an evaluation that fails leaves no stale node
-        nodes, warm.nodes, warm.caps = warm.nodes, {}, None
+        nodes, kept_caps = warm.nodes, warm.caps
+        warm.nodes, warm.caps = {}, None
         # the kept nodes, re-solved in the first phase, are the base nodes
         pivots, bases, tableau = 0, warm.nodes, next(iter(nodes.values()))
 
-        def start(walk, picked):
+        def shift(walk, picked):
             kept = nodes.pop(picked)
+            change = caps - kept_caps[picked]
             deleted = walk.path(picked)
-            shift_rhs(kept, {e: change[e] for e in moved if e not in deleted})
-            node = walk.node(kept, picked)
+            shift_rhs(kept, {e: change[e] for e in np.flatnonzero(change).tolist()
+                             if e not in deleted})
+            return kept
+
+        def start(walk, picked):
+            node = walk.node(shift(walk, picked), picked)
             if node is not None and len(picked) < q:
                 walk.tree(node, picked)
     else:
@@ -428,27 +496,35 @@ def _evaluate(root, caps, groups, q, value_of, sense, keep_values, workers,
         return _Walk(caps, groups, q, value_of, _TreeAccumulator(sense, keep_values),
                      parents, bases, max_pivots, warm)
 
-    starts = sorted(nodes)
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        walks = _run_tree(new_walk, start, starts, pool)
-        if len(starts[0]) < q:  # the start nodes sit above the leaves
-            items, missing = parents.assign(q)
-            walks[0].infeasible.extend(map(walks[0].path, missing))
-            walks += _run_tree(new_walk, lambda walk, item: walk.leaves(item), items, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    skipped = {}
+    if primed and warm.below == 0 and not keep_values:
+        walks = [new_walk()]
+        _bounded_leaves(walks[0], nodes, kept_caps, bound_of, shift)
+        skipped = {picked: kept_caps[picked] for picked in nodes}
+        warm.nodes.update(nodes)
+    else:
+        starts = sorted(nodes)
+        pool = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            walks = _run_tree(new_walk, start, starts, pool)
+            if len(starts[0]) < q:  # the start nodes sit above the leaves
+                items, missing = parents.assign(q)
+                walks[0].infeasible.extend(map(walks[0].path, missing))
+                walks += _run_tree(new_walk, lambda walk, item: walk.leaves(item), items, pool)
+        finally:
+            if pool is not None:
+                pool.shutdown()
     acc, infeasible = walks[0].acc, walks[0].infeasible
     for walk in walks[1:]:
         acc.merge(walk.acc)
         infeasible.extend(walk.infeasible)
     if warm is not None:
         # an infeasible node is not kept, so the next evaluation starts cold
-        warm.caps = None if infeasible else caps
+        warm.caps = None if infeasible else {picked: skipped.get(picked, caps)
+                                             for picked in warm.nodes}
     return pivots, acc, sorted(infeasible)
 
 
@@ -476,8 +552,9 @@ def _throughput_tree(net, demands, q, b_override, groups, keep_values, workers,
         return out.tableau, out.pivot_count
 
     pivots, acc, infeasible = _evaluate(
-        nominal, caps, groups, q, value_of=lambda t: -t.objective, sense="min",
-        keep_values=keep_values, workers=workers, max_pivots=max_pivots, warm=warm,
+        nominal, caps, groups, q, value_of=lambda t: -t.objective,
+        bound_of=_scaled_throughput, sense="min", keep_values=keep_values, workers=workers,
+        max_pivots=max_pivots, warm=warm,
     )
     if infeasible:
         raise SolverError(f"throughput scenario {infeasible[0]} solve ended with "
@@ -494,8 +571,10 @@ def robust_throughput(net, demands, q, b_override=None, keep_per_scenario=True,
     The worst value is zero iff q deletions can disconnect a demand pair.
     The returned report retains the worst scenario's optimal tableau for
     sensitivity extraction.  ``warm``, one ``WarmStart`` shared by the
-    evaluations of a run, re-optimizes the nodes kept at the previous
-    capacities instead of solving the nominal LP again.
+    evaluations of a run, re-optimizes the nodes kept at earlier
+    capacities instead of solving the nominal LP again; without
+    ``keep_per_scenario``, of the kept leaves only those that their bounds
+    leave open.
     """
     report, _ = _throughput_tree(net, demands, q, b_override, groups, keep_per_scenario,
                                  workers, allow_large, max_scenarios, max_pivots, warm)
@@ -524,8 +603,9 @@ def _robust_latency(net, demands, q, target, denom, b_override=None,
         return tableau, pivots
 
     pivots, acc, infeasible = _evaluate(
-        pinned, caps, groups, q, value_of=lambda t: t.objective / denom, sense="max",
-        keep_values=keep_per_scenario, workers=workers, max_pivots=max_pivots, warm=warm,
+        pinned, caps, groups, q, value_of=lambda t: t.objective / denom,
+        bound_of=_fitting_latency, sense="max", keep_values=keep_per_scenario,
+        workers=workers, max_pivots=max_pivots, warm=warm,
     )
     if infeasible:
         raise ScenarioInfeasible(infeasible)
@@ -554,8 +634,11 @@ def worst_scenario_subgradient(context, b_current):
     """Subgradient of the robust value with respect to the capacity vector.
 
     Component e is the right-hand-side sensitivity of the worst scenario's
-    LP for edge e's capacity constraint; entries of deleted edges are forced
-    to zero because the scenario value does not depend on them.
+    LP for edge e's capacity constraint (``rhs_sensitivity``): zero where
+    the slack is basic, minus its reduced cost where it is non-basic, read
+    for every edge in one pass over the slack indices.  Entries of deleted
+    edges are forced to zero because the scenario value does not depend on
+    them.
     """
     if context is None or context.worst_tableau is None:
         raise NoTableau("the worst-scenario tableau was not retained")
@@ -564,12 +647,12 @@ def worst_scenario_subgradient(context, b_current):
         b_current, context.capacities, atol=1e-12
     ):
         raise ValueError("b_current does not match the evaluated capacity vector")
-    deleted = set(context.deleted)
+    tableau = context.worst_tableau
+    slacks = np.array([tableau.constraint_slacks[e] for e in range(b_current.size)], dtype=int)
+    edges, cols = (slacks[:, None] == tableau.nonbasic_vars).nonzero()
     grad = np.zeros(b_current.size)
-    for e in range(b_current.size):
-        if e in deleted:
-            continue
-        grad[e] = rhs_sensitivity(context.worst_tableau, e) / context.scale
+    grad[edges] = -tableau.cost_row[cols] / context.scale
+    grad[list(context.deleted)] = 0.0
     return grad
 
 

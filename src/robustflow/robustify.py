@@ -11,9 +11,12 @@ simplex.
 
 One objective serves both kinds.  Each evaluation walks the scenario tree
 once, through ``robust_throughput`` or ``_robust_latency`` with one
-``WarmStart`` per run: only the first builds and solves the nominal LP, and
-every later one shifts the kept node tableaux by the capacity change and
+``WarmStart`` per run: only the first builds and solves the nominal LP.
+Every later one shifts kept node tableaux by their capacity change and
 re-optimizes them by dual simplex (increments move only right-hand sides).
+Where the kept nodes are the leaves, it re-solves only the leaves whose
+old flows, scaled into the new capacities, cannot rule them out as the
+worst case; the other leaves keep their tableaux for a later evaluation.
 """
 
 from __future__ import annotations
@@ -158,7 +161,8 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
         x_next = np.maximum(point[1:m + 1], 0.0)
         model.phi_history.append(phi)
         if t == 0 and abs(phi - phi_first) > 1e-7:
-            raise RuntimeError("first master LP disagrees with its closed form")
+            raise SolverError(f"first master LP value {phi:.17g} disagrees with its "
+                              f"closed form {phi_first:.17g}")
         step = float(np.max(np.abs(x_next - x)))
         value, grad = objective(x_next)
         model.cuts.append(Cut(value, grad.copy(), x_next.copy()))

@@ -1,6 +1,6 @@
 import math
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from robustflow import (
     solve_throughput,
     worst_scenario_subgradient,
 )
-from robustflow import parse_sndlib_native, robust, serialize_report, simplex
+from robustflow import cli, parse_sndlib_native, robust, serialize_report, simplex
 from robustflow import robustify as robustify_module
 from robustflow.errors import ScenarioInfeasible, ScenarioLimitExceeded, SolverError
 from robustflow.robust import _TreeAccumulator, bench_robust_throughput
@@ -163,6 +163,30 @@ class TestSubgradient:
             value_b2 = -robust_throughput(net_a, demand_ab, 1,
                                           b_override=b2).worst_value
             assert value_b2 >= value_b + grad @ (b2 - base) - 1e-9
+
+    def test_equals_the_per_edge_sensitivities_bit_for_bit(self):
+        # ring6 and the ring-plus-chords instances, over single edges and pairs
+        signed_zeros = 0
+        for (_, net, demands, pairs), kind in product(GROUP_CASES, ["throughput", "latency"]):
+            for q, groups in ((1, None), (2, None), (1, pairs)):
+                if kind == "throughput":
+                    report = robust_throughput(net, demands, q, groups=groups)
+                else:
+                    try:
+                        report = robust_latency_linear(net, demands, q,
+                                                       LatencyConfig(beta=0.3), groups=groups)
+                    except ScenarioInfeasible:
+                        continue
+                context = report.context
+                assert context.deleted
+                want = np.zeros(net.n_edges)
+                for e in range(net.n_edges):
+                    if e not in context.deleted:
+                        want[e] = simplex.rhs_sensitivity(context.worst_tableau, e) / context.scale
+                got = worst_scenario_subgradient(context, context.capacities)
+                assert got.tobytes() == want.tobytes()
+                signed_zeros += int(np.signbit(got[got == 0.0]).sum())
+        assert signed_zeros > 0
 
 
 class TestBench:
@@ -454,18 +478,20 @@ def _capacity_path(net, seed, steps=6):
 
 
 def _evaluator(kind, net, demands, q, groups):
-    """evaluate(caps, warm=None, workers=1): the report of one objective,
-    throughput or latency with the throughput pinned at a fixed target."""
+    """evaluate(caps, warm=None, workers=1, keep=True): the report of one
+    objective, throughput or latency with the throughput pinned at a fixed
+    target, with per-scenario values when ``keep``."""
     if kind == "throughput":
-        def evaluate(caps, warm=None, workers=1):
+        def evaluate(caps, warm=None, workers=1, keep=True):
             return robust_throughput(net, demands, q, b_override=caps, groups=groups,
-                                     warm=warm, workers=workers)
+                                     warm=warm, workers=workers, keep_per_scenario=keep)
         return evaluate
     target = 0.1 * solve_throughput(net, demands).lambda_star
 
-    def evaluate(caps, warm=None, workers=1):
+    def evaluate(caps, warm=None, workers=1, keep=True):
         return robust._robust_latency(net, demands, q, target, 1.0, b_override=caps,
-                                      groups=groups, warm=warm, workers=workers)
+                                      groups=groups, warm=warm, workers=workers,
+                                      keep_per_scenario=keep)
     return evaluate
 
 
@@ -498,6 +524,26 @@ def _keep_first_level(monkeypatch, net, demands):
     monkeypatch.setattr(robust, "MAX_WARM_BYTES", 2 * net.n_edges * size)
 
 
+def _record_dual_solves(monkeypatch):
+    """The ids of the tableaux that ``robust.dual_simplex`` solves, in order."""
+    solved = []
+    original = robust.dual_simplex
+
+    def recorded(tableau, *args, **kwargs):
+        solved.append(id(tableau))
+        return original(tableau, *args, **kwargs)
+
+    monkeypatch.setattr(robust, "dual_simplex", recorded)
+    return solved
+
+
+def _kept_leaves(warm):
+    """The scenario of each tableau a warm start keeps, by the tableau's id."""
+    groups = warm.tree[1]
+    return {id(tableau): tuple(sorted(e for g in picked for e in groups[g]))
+            for picked, tableau in warm.nodes.items()}
+
+
 def _assert_same(got, want):
     if isinstance(want, list):
         assert got == want
@@ -525,6 +571,105 @@ class TestWarmStart:
         # later evaluations skip the nominal solve and re-solve each leaf
         assert got[0].pivots_total == want[0].pivots_total
         assert sum(g.pivots_total for g in got[1:]) < sum(w.pivots_total for w in want[1:])
+
+    @pytest.mark.parametrize("kind", ["throughput", "latency"])
+    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("case", GROUP_CASES, ids=lambda c: c[0])
+    def test_bounds_skip_only_leaves_that_cannot_be_the_worst(self, case, q, paired, kind,
+                                                              monkeypatch):
+        _, net, demands, pairs = case
+        evaluate = _evaluator(kind, net, demands, q, pairs if paired else None)
+        sense = "min" if kind == "throughput" else "max"
+        solved = _record_dual_solves(monkeypatch)
+        warm = robust.WarmStart()
+        skipped, feasible = 0, 0
+        for caps in _capacity_path(net, seed=q + 2 * paired):
+            kept = {} if warm.caps is None else _kept_leaves(warm)
+            solved.clear()
+            try:
+                got = evaluate(caps, warm, keep=False)
+            except ScenarioInfeasible as err:
+                got = err.scenarios
+            resolved = set(solved)
+            try:
+                want = evaluate(caps)
+            except ScenarioInfeasible as err:
+                assert got == err.scenarios
+                continue
+            feasible += 1
+            assert got.scenarios_evaluated == want.scenarios_evaluated
+            assert got.worst_value == pytest.approx(want.worst_value, abs=1e-9)
+            assert got.worst_scenario == want.worst_scenario
+            worst = robust.scenario_key(got.worst_value, got.worst_scenario, sense)
+            for tableau_id, scenario in kept.items():
+                if tableau_id not in resolved:
+                    skipped += 1
+                    value = want.per_scenario_values[scenario]
+                    assert robust.scenario_key(value, scenario, sense) > worst
+        # unless some scenario cannot carry the load at any capacity
+        assert skipped > 0 or not feasible
+
+    def test_a_leaf_is_skipped_on_its_scaled_flows(self, monkeypatch):
+        # one demand over three parallel edges; deleting edge 0 leaves flows
+        # of 10 and 12 on edges 1 and 2, which no longer fit once edge 2
+        # drops to 10: scaled by 10/12 they still carry 18.3, above the
+        # worst case 11, though the leaf's value falls from 22 to 20
+        net = Network(2, [(0, 1, c, 1.0) for c in (1.0, 10.0, 12.0)])
+        demands = DemandMatrix([[0.0, 1.0], [0.0, 0.0]])
+        solved = _record_dual_solves(monkeypatch)
+        warm = robust.WarmStart()
+        path = [np.array(caps) for caps in ((1.0, 10.0, 12.0), (1.0, 10.0, 10.0),
+                                            (1.0, 1.0, 1.0))]
+        reports = []
+        for caps in path:
+            leaf = warm.nodes.get((0,))
+            solved.clear()
+            reports.append(robust_throughput(net, demands, 1, b_override=caps, warm=warm,
+                                             keep_per_scenario=False))
+            want = robust_throughput(net, demands, 1, b_override=caps)
+            assert (reports[-1].worst_value, reports[-1].worst_scenario) == (
+                want.worst_value, want.worst_scenario)
+            if leaf is not None:
+                assert (id(leaf) in solved) == (caps is path[2])
+            if caps is path[1]:
+                # the skipped leaf stays optimal at the first capacities
+                assert [id(warm.caps[(g,)]) for g in range(3)] == [
+                    id(path[0]), id(path[1]), id(path[1])]
+        assert [(r.worst_value, r.worst_scenario) for r in reports] == [
+            (11.0, (2,)), (11.0, (1,)), (2.0, (0,))]
+        assert [r.scenarios_evaluated for r in reports] == [3, 3, 3]
+        # the third evaluation shifts the skipped leaf by its own change
+        # since the first, and every kept leaf is now optimal at the last caps
+        assert all(caps is path[2] for caps in warm.caps.values())
+
+    def test_a_latency_leaf_whose_flows_no_longer_fit_is_resolved(self):
+        # 8 units over edges of delay 1, 5 and 10: once edge 0 drops to
+        # capacity 2, the leaves that routed all 8 on it have no bound, and
+        # deleting edge 1 becomes the worst case at 2 * 1 + 6 * 10
+        net = Network(2, [(0, 1, 10.0, delay) for delay in (1.0, 5.0, 10.0)])
+        demands = DemandMatrix([[0.0, 1.0], [0.0, 0.0]])
+        warm = robust.WarmStart()
+        worst = []
+        for caps in (np.array([10.0, 10.0, 10.0]), np.array([2.0, 10.0, 10.0])):
+            report = robust._robust_latency(net, demands, 1, 8.0, 1.0, b_override=caps,
+                                            warm=warm, keep_per_scenario=False)
+            worst.append((pytest.approx(report.worst_value), report.worst_scenario))
+        assert worst == [(40.0, (0,)), (62.0, (1,))]
+
+    @pytest.mark.parametrize("extra", [[], ["--paired-failure"],
+                                       ["--method", "subgradient", "--max-iters", "4"]])
+    @pytest.mark.parametrize("command", ["robustify-throughput", "robustify-latency"])
+    def test_robustify_workers_print_identical_output(self, command, extra, capsys,
+                                                      pool_starts):
+        argv = [command, "--network", str(RING6), "--q", "1", "--budget", "10", *extra]
+        assert cli.main(argv) == 0
+        seq = capsys.readouterr().out
+        assert not pool_starts
+        assert cli.main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == seq
+        # the later evaluations re-solve the bounded leaves serially
+        assert pool_starts == [2]
 
     @pytest.mark.parametrize("kind", ["throughput", "latency"])
     @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
