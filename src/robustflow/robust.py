@@ -30,6 +30,13 @@ leaf's old optimal flows bound its new value: scaled into the new
 capacities for throughput, as they are where they fit them for latency.
 The leaves are then re-solved serially in bound order, and a leaf whose
 bound already sorts after the worst case found so far is not re-solved.
+At q = 1 the first evaluation visits its leaves the same way: a solved
+node's optimal flows are feasible in every leaf whose group they leave
+unloaded, so they bound that leaf's value (the pessimizing-oracle idea of
+Mutapcic & Boyd 2009 inside one evaluation).  A leaf skipped that way is
+kept with no tableau, by the value and loads of the flows that bound it,
+and the warm start keeps the root to build it from when a later
+evaluation must solve it.
 """
 
 from __future__ import annotations
@@ -85,12 +92,22 @@ class WarmStart:
     is None until an evaluation succeeds.  The kept nodes sit ``below``
     levels above the leaves.  They are the next evaluation's start nodes,
     and the base nodes from which it re-solves any parent it does not hold.
+
+    When q = 1 leaves are visited in bound order from the start, a leaf
+    that no evaluation has solved has no tableau.  ``records`` maps it to
+    its witness record (value, loads, witness): the value and edge loads of
+    the optimal flows of the node ``witness`` (a leaf, or the root ``()``),
+    which leave its group unloaded and so are feasible in it.  ``root``,
+    (tableau, the capacities it is optimal at), is the node such a leaf is
+    built from when an evaluation must solve it.
     """
 
     caps: dict | None = None
     nodes: dict = field(default_factory=dict)
     below: int = 0
     tree: tuple = ()
+    records: dict = field(default_factory=dict)
+    root: tuple | None = None
 
 
 @dataclass
@@ -198,15 +215,18 @@ class _Parents:
 
     ``scores`` maps each optimal parent's sorted group indices to the total
     primal infeasibility that deleting each group leaves in it; ``held``
-    maps it to its tableau as well when ``hold`` is set.
+    maps it to its tableau as well when ``hold`` is set.  ``member`` tells
+    which groups the edges ``edges`` belong to.
     """
 
     def __init__(self, caps, groups, hold):
         self.edges = [e for group in groups for e in group]
-        # column h: the capacity that deleting group h removes, per edge
-        self.drops = np.zeros((len(self.edges), len(groups)))
-        owner = [h for h, group in enumerate(groups) for _ in group]
-        self.drops[np.arange(len(self.edges)), owner] = caps[self.edges]
+        # column h: whether each edge belongs to group h, and the capacity
+        # that deleting group h removes, per edge
+        self.member = np.zeros((len(self.edges), len(groups)), dtype=bool)
+        self.member[np.arange(len(self.edges)),
+                    [h for h, group in enumerate(groups) for _ in group]] = True
+        self.drops = np.where(self.member, caps[self.edges][:, None], 0.0)
         self.hold = hold
         self.scores = {}
         self.held = {}
@@ -386,6 +406,7 @@ def _keep_level(warm, root, groups, q):
     warm.tree = (q, groups)
     warm.below = q - depth
     warm.nodes = {(): root} if depth == 0 else {}
+    warm.records, warm.root = {}, None
 
 
 def _scaled_throughput(values, loads, caps):
@@ -401,41 +422,139 @@ def _fitting_latency(values, loads, caps):
     return np.where((loads <= caps).all(axis=1), values, np.nan)
 
 
-def _leaf_bounds(walk, nodes, kept_caps, bound_of):
-    """``bound_of(values, loads, caps)`` over the kept leaves ``nodes``, in
-    their order: the loads of a leaf's optimal flows are the capacities it
-    is optimal at less its slack values, and zero on its deleted edges."""
-    picked = list(nodes)
-    tableaux = list(nodes.values())
+def _flows(walk, picked, tableaux, caps):
+    """(values, loads) of the optimal flows of ``tableaux``, the nodes
+    ``picked`` optimal at the capacities ``caps`` (a vector, or one row per
+    node): a node's loads are those capacities less its slack values, and
+    zero on its deleted edges."""
     slacks = [tableaux[0].constraint_slacks[e] for e in range(walk.caps.size)]
     point = np.zeros((len(tableaux), tableaux[0]._n_vars()))
     point[np.arange(len(tableaux))[:, None], [t.basic_vars for t in tableaux]] = [
         t.tab[:-1, -1] for t in tableaux]
-    loads = np.array([kept_caps[p] for p in picked]) - point[:, slacks]
+    loads = caps - point[:, slacks]
     paths = [walk.path(p) for p in picked]
     loads[[row for row, path in enumerate(paths) for _ in path],
           [e for path in paths for e in path]] = 0.0
-    values = np.array([walk.value_of(t) for t in tableaux])
-    return bound_of(values, loads, walk.caps)
+    return np.array([walk.value_of(t) for t in tableaux]), loads
 
 
-def _bounded_leaves(walk, nodes, kept_caps, bound_of, shift):
-    """Re-solve the kept leaves ``nodes`` on ``walk``, from the most to the
-    least likely worst by ``_leaf_bounds``, leaving in ``nodes`` each leaf
-    whose bound, moved a relative ``FEAS_TOL`` toward the worse side, sorts
+def _bounded_leaves(walk, leaves, bounds, solve, order=None, witness=None):
+    """Visit the leaves ``leaves[k]`` on ``walk``: first the unbounded ones
+    in ``order`` (by default that of ``leaves``), then the others from the
+    most to the least likely worst, skipping each whose bound ``bounds[k]``
+    (NaN: none), moved a relative ``FEAS_TOL`` toward the worse side, sorts
     after the worst case found so far: its value cannot be the worst.
-    ``shift(walk, picked)`` pops a leaf from ``nodes``, ready for its dual
-    solve.  The skipped leaves count as evaluated scenarios."""
+    ``solve(k)`` solves leaf k (its optimal tableau, or None when it is
+    infeasible), and then ``witness(leaves[k], tableau)`` may tighten the
+    bounds.  The skipped leaves count as evaluated scenarios; returns their
+    positions."""
     sense = walk.acc.sense
-    bounds = _leaf_bounds(walk, nodes, kept_caps, bound_of)
-    worse = bounds - FEAS_TOL * np.abs(bounds) * (1.0 if sense == "min" else -1.0)
-    keys = {picked: scenario_key(bound, walk.path(picked), sense)
-            for picked, bound in zip(nodes, worse.tolist()) if not math.isnan(bound)}
-    for picked in [p for p in nodes if p not in keys] + sorted(keys, key=keys.get):
-        best = walk.acc.best
-        if best is None or picked not in keys or keys[picked] <= best[0]:
-            walk.node(shift(walk, picked), picked)
-    walk.acc.count += len(nodes)
+    toward = 1.0 if sense == "min" else -1.0
+
+    def key(k):
+        bound = float(bounds[k])
+        if math.isnan(bound):
+            return None
+        return scenario_key(bound - FEAS_TOL * abs(bound) * toward, walk.path(leaves[k]), sense)
+
+    keys = {k: key(k) for k in (range(len(leaves)) if order is None else order)}
+    order = ([k for k in keys if keys[k] is None]
+             + sorted((k for k in keys if keys[k] is not None), key=keys.get))
+    skipped = []
+    for k in order:
+        best, bound_key = walk.acc.best, key(k)
+        if best is not None and bound_key is not None and bound_key > best[0]:
+            skipped.append(k)
+            continue
+        tableau = solve(k)
+        if tableau is not None and witness is not None:
+            witness(leaves[k], tableau)
+    walk.acc.count += len(skipped)
+    return skipped
+
+
+def _shifted(tableau, change, deleted=()):
+    """``tableau``, shifted in place by the capacity ``change`` except on its
+    ``deleted`` edges."""
+    shift_rhs(tableau, {e: change[e] for e in np.flatnonzero(change).tolist()
+                        if e not in deleted})
+    return tableau
+
+
+def _leafwise(walk, parents, bound_of, root, nodes, kept_caps, records, warm):
+    """Visit every leaf on ``walk`` in bound order (``_bounded_leaves``) and
+    solve only those that their bounds cannot rule out as the worst case.
+
+    A leaf in ``nodes`` is shifted from the capacities ``kept_caps`` it is
+    optimal at and bounded by its own old flows, one in ``records`` by its
+    witness record, both through ``bound_of``.  Any other leaf is built
+    from ``root`` = (tableau, the capacities it is optimal at): a copy with
+    the group deleted at those capacities, shifted by the change on the
+    other edges, so that no capacity given to a deleted edge since the root
+    was solved cancels against its load.  A cold evaluation holds no leaf
+    and visits them in descending root score.  At q = 1 a solved node's
+    flows are feasible in every leaf whose group they leave unloaded, so
+    its value bounds those leaves: the root's from the start, each leaf's
+    once solved.  ``warm`` gets the solved leaves (on ``walk``), the skipped
+    ones with their tableaux or witness records, and ``root``; returns the
+    skipped leaves that keep tableaux, with the capacities those are
+    optimal at.
+    """
+    caps, sense = walk.caps, walk.acc.sense
+    leaves = list(combinations(range(len(walk.groups)), walk.q))
+    bounds = np.full(len(leaves), np.nan)
+    # the witness of each bound: -1 for none or the old one, else in seen
+    source, seen = np.full(len(leaves), -1), []
+    if nodes:
+        held = [k for k, picked in enumerate(leaves) if picked in nodes]
+        tableaux = [nodes[leaves[k]] for k in held]
+        bounds[held] = bound_of(*_flows(walk, [leaves[k] for k in held], tableaux,
+                                        np.array([kept_caps[leaves[k]] for k in held])), caps)
+    if records:
+        recorded = [k for k, picked in enumerate(leaves) if picked in records]
+        values, loads, _ = zip(*(records[leaves[k]] for k in recorded))
+        bounds[recorded] = bound_of(np.array(values), np.array(loads), caps)
+
+    def witness(picked, tableau):
+        (value,), (loads,) = _flows(walk, [picked], [tableau], caps)
+        # at q = 1 leaf k deletes group k alone
+        avoided = ~((loads[parents.edges] > 0) @ parents.member)
+        tighter = avoided & ~(bounds >= value if sense == "min" else bounds <= value)
+        bounds[tighter] = value
+        source[tighter] = len(seen)
+        seen.append((value, loads, picked))
+
+    def solve(k):
+        picked = leaves[k]
+        if picked in nodes:
+            return walk.node(_shifted(nodes.pop(picked), caps - kept_caps[picked],
+                                      walk.path(picked)), picked)
+        tableau, root_caps = root
+        if root_caps is caps:
+            return walk.node(walk.child(tableau, picked[0]), picked)
+        deleted = walk.path(picked)
+        child = _shifted(tableau.copy(), caps - root_caps, deleted)
+        shift_rhs(child, {e: -root_caps[e] for e in deleted})
+        return walk.node(child, picked)
+
+    order = None
+    if not nodes and not records:
+        parents.score((), root[0])
+        order = np.argsort(-parents.scores[()], kind="stable").tolist()
+        witness((), root[0])
+    skipped = _bounded_leaves(walk, leaves, bounds, solve, order,
+                              witness if walk.q == 1 else None)
+    if warm is None:
+        return {}
+    skipped_caps = {}
+    for k in skipped:
+        picked = leaves[k]
+        if picked in nodes:
+            warm.nodes[picked], skipped_caps[picked] = nodes[picked], kept_caps[picked]
+        else:
+            warm.records[picked] = seen[source[k]] if source[k] >= 0 else records[picked]
+    warm.root = root
+    return skipped_caps
 
 
 def _evaluate(root, caps, groups, q, value_of, bound_of, sense, keep_values, workers,
@@ -453,39 +572,37 @@ def _evaluate(root, caps, groups, q, value_of, bound_of, sense, keep_values, wor
     C(len(groups), q - 1) parents fit in ``MAX_WARM_BYTES`` and re-solved
     from the start nodes otherwise.  Both phases share one thread pool.
 
-    When the kept nodes are the leaves and no per-scenario values are kept,
-    ``bound_of(values, loads, caps)`` bounds each leaf's value at ``caps``
-    from its old optimal flows, and ``_bounded_leaves`` re-solves, serially
-    and with no pool, only the leaves whose bound does not rule them out;
-    the others stay kept at the capacities they are optimal at.
+    When no per-scenario values are kept and the leaves are, or are to be,
+    the kept nodes, ``_leafwise`` visits the leaves instead, serially and
+    with no pool: those of a warm start that keeps them, and at q = 1 those
+    of a cold evaluation too.  ``bound_of(values, loads, caps)`` bounds a
+    leaf's value at ``caps`` by flows optimal at other capacities, and a
+    leaf whose bound rules it out is not solved.
     """
     primed = warm is not None and warm.caps is not None
+    if primed and warm.tree != (q, groups):
+        raise ValueError("a warm start serves the scenario tree it was filled for")
+    # a leaf kept by its witness record alone is solved only in bound order
+    primed = primed and not (keep_values and warm.records)
     if primed:
-        if warm.tree != (q, groups):
-            raise ValueError("a warm start serves the scenario tree it was filled for")
         # taken out first, so that an evaluation that fails leaves no stale node
-        nodes, kept_caps = warm.nodes, warm.caps
-        warm.nodes, warm.caps = {}, None
+        nodes, kept_caps, records, kept_root = warm.nodes, warm.caps, warm.records, warm.root
+        warm.nodes, warm.caps, warm.records, warm.root = {}, None, {}, None
         # the kept nodes, re-solved in the first phase, are the base nodes
         pivots, bases, tableau = 0, warm.nodes, next(iter(nodes.values()))
 
-        def shift(walk, picked):
-            kept = nodes.pop(picked)
-            change = caps - kept_caps[picked]
-            deleted = walk.path(picked)
-            shift_rhs(kept, {e: change[e] for e in np.flatnonzero(change).tolist()
-                             if e not in deleted})
-            return kept
-
         def start(walk, picked):
-            node = walk.node(shift(walk, picked), picked)
+            kept = nodes.pop(picked)
+            node = walk.node(_shifted(kept, caps - kept_caps[picked], walk.path(picked)),
+                             picked)
             if node is not None and len(picked) < q:
                 walk.tree(node, picked)
     else:
         tableau, pivots = root()
         if warm is not None:
             _keep_level(warm, tableau, groups, q)
-        nodes = bases = {(): tableau}
+        nodes, kept_caps, records, kept_root = {}, None, {}, (tableau, caps)
+        bases = {(): tableau}
 
         def start(walk, picked):
             walk.tree(tableau, picked)
@@ -497,13 +614,12 @@ def _evaluate(root, caps, groups, q, value_of, bound_of, sense, keep_values, wor
                      parents, bases, max_pivots, warm)
 
     skipped = {}
-    if primed and warm.below == 0 and not keep_values:
+    if not keep_values and (primed or q == 1) and (warm is None or warm.below == 0):
         walks = [new_walk()]
-        _bounded_leaves(walks[0], nodes, kept_caps, bound_of, shift)
-        skipped = {picked: kept_caps[picked] for picked in nodes}
-        warm.nodes.update(nodes)
+        skipped = _leafwise(walks[0], parents, bound_of, kept_root, nodes, kept_caps,
+                            records, warm)
     else:
-        starts = sorted(nodes)
+        starts = sorted(nodes) if primed else [()]
         pool = None
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor

@@ -17,6 +17,13 @@ re-optimizes them by dual simplex (increments move only right-hand sides).
 Where the kept nodes are the leaves, it re-solves only the leaves whose
 old flows, scaled into the new capacities, cannot rule them out as the
 worst case; the other leaves keep their tableaux for a later evaluation.
+At q = 1 the first evaluation already visits the leaves in bound order: a
+solved leaf's flows bound every leaf whose group they leave unloaded, so
+only the leaves these witnesses cannot rule out are solved.  The others
+are kept by their witness records with the root, from which a later
+evaluation builds a leaf it must solve.  The first master LP is checked
+against its closed form to a relative 1e-7: at large budgets its rounding
+alone exceeds any fixed absolute tolerance.
 """
 
 from __future__ import annotations
@@ -160,7 +167,7 @@ def _cutting_plane(objective, m, budget, tol, max_iters):
         phi = point[0] + floor
         x_next = np.maximum(point[1:m + 1], 0.0)
         model.phi_history.append(phi)
-        if t == 0 and abs(phi - phi_first) > 1e-7:
+        if t == 0 and abs(phi - phi_first) > 1e-7 * max(1.0, abs(phi_first)):
             raise SolverError(f"first master LP value {phi:.17g} disagrees with its "
                               f"closed form {phi_first:.17g}")
         step = float(np.max(np.abs(x_next - x)))

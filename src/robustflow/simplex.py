@@ -160,20 +160,6 @@ class SimplexTableau:
         point[self.basic_vars] = self.rhs
         return point
 
-    def set_cost(self, full_cost):
-        """Replace the objective by ``full_cost`` over the global variables.
-
-        Variables beyond ``len(full_cost)`` (slacks of later cut rows) get
-        zero cost.  Reduced costs and the corner are recomputed for the
-        current basis; feasibility of the vertex is unaffected.
-        """
-        full_cost = np.asarray(full_cost, dtype=float)
-        c = np.zeros(self._n_vars())
-        c[: len(full_cost)] = full_cost
-        c_b = c[self.basic_vars]
-        self.tab[-1, :-1] = c[self.nonbasic_vars] - c_b @ self.body
-        self.tab[-1, -1] = -float(c_b @ self.rhs)
-
     # -- pivoting -----------------------------------------------------
 
     def pivot(self, row, col):
@@ -237,6 +223,9 @@ def _simplex(t, max_pivots, dual):
     line picks the row i that leaves.  On the transpose the prices are the
     rhs, the ratio numerators the reduced costs and the line is the negated
     tableau row: the dual simplex, with ``basic_vars`` labelling the columns.
+    A dual row with no eligible entry proves infeasibility unless its rhs is
+    negative only by rounding, at most ``FEAS_TOL`` times the largest |rhs|:
+    such an rhs is set to zero and the loop goes on.
     """
     a = t.tab.T if dual else t.tab
     col_vars, row_vars = (t.basic_vars, t.nonbasic_vars) if dual else (
@@ -252,6 +241,9 @@ def _simplex(t, max_pivots, dual):
         line = sign * a[:-1, j]
         rows = np.nonzero(line > PIVOT_TOL)[0]
         if rows.size == 0:
+            if dual and -a[-1, j] <= FEAS_TOL * max(1.0, np.abs(a[-1, :-1]).max()):
+                a[-1, j] = 0.0
+                continue
             status = Status.INFEASIBLE if dual else Status.UNBOUNDED
             return SolveOutcome(status, t, t.objective, pivots)
         ratios = a[rows, -1] / line[rows]

@@ -60,6 +60,22 @@ def tableau_from_basis(lp, basic_vars):
     return SimplexTableau(basic_vars, nonbasic_vars, body, rhs, cost_row, cost_corner)
 
 
+def set_cost(tableau, full_cost):
+    """Replace the objective of ``tableau`` by ``full_cost`` over the global
+    variables, in place.
+
+    Variables beyond ``len(full_cost)`` (slacks of later cut rows) get zero
+    cost.  Reduced costs and the corner are recomputed for the current
+    basis; feasibility of the vertex is unaffected.
+    """
+    full_cost = np.asarray(full_cost, dtype=float)
+    c = np.zeros(tableau._n_vars())
+    c[: len(full_cost)] = full_cost
+    c_b = c[tableau.basic_vars]
+    tableau.tab[-1, :-1] = c[tableau.nonbasic_vars] - c_b @ tableau.body
+    tableau.tab[-1, -1] = -float(c_b @ tableau.rhs)
+
+
 def solve_standard_form(lp, max_pivots=None):
     """Cold-solve a standard-form LP: artificial-variable phase 1, then phase 2.
 
@@ -109,7 +125,7 @@ def solve_standard_form(lp, max_pivots=None):
     keep = t.nonbasic_vars < nv
     t = SimplexTableau(t.basic_vars, t.nonbasic_vars[keep], t.body[:, keep], t.rhs,
                        t.cost_row[keep], t.cost_corner, n_original=nv)
-    t.set_cost(lp.cost)
+    set_cost(t, lp.cost)
     out = primal_simplex(t, max_pivots)
     return SolveOutcome(out.status, out.tableau, out.objective, pivots + out.pivot_count)
 

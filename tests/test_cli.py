@@ -1,9 +1,6 @@
 import importlib
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -292,6 +289,23 @@ class TestRing6RobustifyOutputs:
         assert json.loads(out) == {"command": command, "instance": "ring6.txt",
                                    "q": 1, "budget": 40.0, **expected}
 
+    @pytest.mark.parametrize("budget, joint_lp", [
+        ("1e7", 137680.14184397), ("1e8", 1376728.9528577),
+        ("1e9", 13767217.062995), ("1e10", 137672098.16437)])
+    def test_large_budgets_match_the_joint_lp(self, capsys, budget, joint_lp):
+        # robust lambda of HiGHS on the joint LP over every scenario's flows
+        code, out, err = run(capsys, "robustify-throughput", "--network", RING6, "--q", "1",
+                             "--budget", budget)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["robust_lambda"] == pytest.approx(joint_lp, rel=1e-9)
+
+    @pytest.mark.parametrize("budget", ["1e11", "1e12"])
+    def test_largest_tested_budgets_exit_zero(self, capsys, budget):
+        code, out, err = run(capsys, "robustify-throughput", "--network", RING6, "--q", "1",
+                             "--budget", budget)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["robust_lambda"] > 0
+
     def test_cutting_plane_allocation_is_worth_its_value_cold(self, capsys):
         # the allocation is one of several optima; any of them must give 5.0
         _, out, _ = run(capsys, "robustify-throughput", "--network", RING6, "--q", "1",
@@ -436,17 +450,22 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "error: result holds a non-finite number, which JSON cannot carry\n"
 
-    def test_master_lp_off_its_closed_form_is_exit_three(self):
-        # at this budget the first master LP's value is 8e-6 off its closed
-        # form; a fresh process shows that no traceback reaches the user
-        src = Path(__file__).parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "robustflow.cli", "robustify-throughput", "--network",
-             RING6, "--q", "1", "--budget", "1e12"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-        assert (done.returncode, done.stdout) == (3, "")
-        assert done.stderr.startswith("error: first master LP value ")
-        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    def test_master_lp_off_its_closed_form_is_exit_three(self, capsys, monkeypatch):
+        from robustflow import robustify
+        solve = robustify.dual_simplex
+
+        def shifted(tableau, *args, **kwargs):
+            # a master LP whose phi lies 1.0 above its closed form
+            out = solve(tableau, *args, **kwargs)
+            out.tableau.tab[out.tableau.basic_row_of(0), -1] += 1.0
+            return out
+
+        monkeypatch.setattr(robustify, "dual_simplex", shifted)
+        code, out, err = run(capsys, "robustify-throughput", "--network", RING6, "--q", "1",
+                             "--budget", "40")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: first master LP value ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_sndlib_autodetected_by_extension(self, capsys):
         code, out, _ = run(capsys, "throughput", "--network",
@@ -604,10 +623,11 @@ class TestTracerCounting:
         code, out, _ = run(capsys, "robustify-throughput", "--network", RING6,
                            "--q", "1", "--budget", "40")
         assert code == 0
-        # the first evaluation walks the 20 leaves; the three later ones
-        # re-solve 26 of their 60, those that the leaves' bounds leave open
+        # the first evaluation solves 8 of the 20 leaves, the solved ones'
+        # flows rule out the other 12; the three later ones solve 18 of
+        # their 60, those that the leaves' bounds leave open
         assert evals["robust_throughput"] == json.loads(out)["iterations"] > 2
-        assert calls["dual_simplex"] == 46
+        assert calls["dual_simplex"] == 26
 
 
 def _load_tracer():

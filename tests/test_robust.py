@@ -22,7 +22,7 @@ from robustflow import robustify as robustify_module
 from robustflow.errors import ScenarioInfeasible, ScenarioLimitExceeded, SolverError
 from robustflow.robust import _TreeAccumulator, bench_robust_throughput
 
-from conftest import cold_throughput, ring_chords_instance
+from conftest import cold_throughput, random_corpus, ring_chords_instance
 
 RING6 = Path(__file__).parent / "data" / "ring6.txt"
 
@@ -556,6 +556,95 @@ def _assert_same(got, want):
         assert got.per_scenario_values[scenario] == pytest.approx(value, abs=1e-9)
 
 
+def _cold_cases():
+    """(name, network, demands, groups): the group cases over single edges
+    and link pairs, and random corpus networks over single edges."""
+    cases = [(f"{name}-{mode}", net, demands, groups)
+             for name, net, demands, pairs in GROUP_CASES
+             for mode, groups in (("single", None), ("paired", pairs))]
+    return cases + [(f"random{k}", net, demands, None)
+                    for k, (net, demands) in enumerate(random_corpus(seed=5, count=8))]
+
+
+COLD_CASES = _cold_cases()
+# (case, kind) where no leaf can be skipped: in ring8-s1 every solved
+# leaf's flows load every other link, and in random5 the leaves that the
+# root leaves unloaded tie the worst delay
+NO_SKIP = {("ring8-s1-paired", "throughput"), ("random5", "latency")}
+
+
+class TestColdWitnesses:
+    """At q = 1 with no per-scenario values, the first evaluation solves the
+    leaves in bound order, and a solved node's flows bound every leaf whose
+    group they leave unloaded."""
+
+    @pytest.mark.parametrize("kind", ["throughput", "latency"])
+    @pytest.mark.parametrize("case", COLD_CASES, ids=lambda c: c[0])
+    def test_skips_only_leaves_that_cannot_be_the_worst(self, case, kind, monkeypatch):
+        _, net, demands, groups = case
+        evaluate = _evaluator(kind, net, demands, 1, groups)
+        caps = net.capacities
+        try:
+            want = evaluate(caps)
+        except ScenarioInfeasible as err:
+            with pytest.raises(ScenarioInfeasible) as info:
+                evaluate(caps, robust.WarmStart(), keep=False)
+            assert info.value.scenarios == err.scenarios
+            return
+        solved = _record_dual_solves(monkeypatch)
+        warm = robust.WarmStart()
+        got = evaluate(caps, warm, keep=False)
+        assert got.worst_value == pytest.approx(want.worst_value, abs=1e-9)
+        assert got.worst_scenario == want.worst_scenario
+        assert got.scenarios_evaluated == want.scenarios_evaluated
+        assert (worst_scenario_subgradient(got.context, caps).tobytes()
+                == worst_scenario_subgradient(want.context, caps).tobytes())
+        # the solved leaves keep their tableaux, the others a witness record
+        assert sorted(map(id, warm.nodes.values())) == sorted(solved)
+        assert sorted(warm.nodes.keys() | warm.records.keys()) == [
+            (g,) for g in range(len(warm.tree[1]))]
+        sense = "min" if kind == "throughput" else "max"
+        worst = robust.scenario_key(got.worst_value, got.worst_scenario, sense)
+        for picked, (_, loads, witness) in warm.records.items():
+            scenario = tuple(sorted(warm.tree[1][picked[0]]))
+            value = want.per_scenario_values[scenario]
+            assert robust.scenario_key(value, scenario, sense) > worst
+            # the witness, the root or a solved leaf, leaves the group unloaded
+            assert witness == () or witness in warm.nodes
+            assert (loads[list(scenario)] <= 0).all()
+        # every leaf either is solved, or ties the worst on a bound from
+        # the root, in these two cases
+        assert warm.records or (case[0], kind) in NO_SKIP
+
+    def test_a_recorded_leaf_is_rebuilt_from_the_kept_root(self, monkeypatch):
+        solved = _record_dual_solves(monkeypatch)
+        rebuilt = 0
+        for (_, net, demands, pairs), paired, seed in product(GROUP_CASES, (False, True),
+                                                              (3, 4)):
+            groups = pairs if paired else None
+            warm = robust.WarmStart()
+            for caps in _capacity_path(net, seed=seed):
+                recorded, root = set(warm.records), warm.root
+                before = None if root is None else root[0].tab.copy()
+                solved.clear()
+                got = robust_throughput(net, demands, 1, b_override=caps, groups=groups,
+                                        warm=warm, keep_per_scenario=False)
+                want = robust_throughput(net, demands, 1, b_override=caps, groups=groups)
+                assert got.worst_value == pytest.approx(want.worst_value, abs=1e-9)
+                assert got.worst_scenario == want.worst_scenario
+                for picked in recorded & warm.nodes.keys():
+                    # solved on a copy of the root, which stays as it was
+                    rebuilt += 1
+                    assert id(warm.nodes[picked]) in solved
+                    scenario = tuple(sorted(e for g in picked for e in warm.tree[1][g]))
+                    assert -warm.nodes[picked].objective == pytest.approx(
+                        want.per_scenario_values[scenario], abs=1e-9)
+                if root is not None:
+                    assert warm.root is root
+                    np.testing.assert_array_equal(root[0].tab, before)
+        assert rebuilt > 0
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("kind", ["throughput", "latency"])
     @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
@@ -668,8 +757,8 @@ class TestWarmStart:
         assert not pool_starts
         assert cli.main(argv + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == seq
-        # the later evaluations re-solve the bounded leaves serially
-        assert pool_starts == [2]
+        # at q = 1 every evaluation visits the leaves serially in bound order
+        assert pool_starts == []
 
     @pytest.mark.parametrize("kind", ["throughput", "latency"])
     @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])

@@ -31,7 +31,7 @@ from conftest import (
     random_standard_form,
     ring_chords_instance,
 )
-from oracles import StandardFormLP, solve_standard_form, tableau_from_basis
+from oracles import StandardFormLP, set_cost, solve_standard_form, tableau_from_basis
 
 
 def single_row_tableau(coeff, rhs, cost, constraint_id=None):
@@ -328,6 +328,15 @@ class TestStandardFormSolver:
         assert out.status is Status.OPTIMAL
         assert out.objective == pytest.approx(1.0)
 
+    def test_set_cost_recomputes_reduced_costs(self):
+        t = single_row_tableau(4.0, 3.0, -1.0)
+        out = primal_simplex(t)
+        opt = out.tableau
+        set_cost(opt, np.array([0.0, 1.0]))
+        # slack is the only non-basic variable; the vertex has slack 0
+        assert opt.objective == pytest.approx(0.0)
+        assert opt.is_dual_feasible()
+
 
 class TestInPlace:
     """The solvers pivot the tableau they are given; tighten_rhs copies."""
@@ -400,15 +409,6 @@ class TestTableauBasics:
         t = tableau_from_basis(lp, [0])
         assert t.rhs[0] == pytest.approx(0.75)
         assert t.objective == pytest.approx(-0.75)
-
-    def test_set_cost_recomputes_reduced_costs(self):
-        t = single_row_tableau(4.0, 3.0, -1.0)
-        out = primal_simplex(t)
-        opt = out.tableau
-        opt.set_cost(np.array([0.0, 1.0]))
-        # slack is the only non-basic variable; the vertex has slack 0
-        assert opt.objective == pytest.approx(0.0)
-        assert opt.is_dual_feasible()
 
 
 class TestWarmStartEquivalence:
