@@ -57,10 +57,6 @@ class InfeasibleSystem(DataError):
     """The balance equations are inconsistent with the demand Laplacian."""
 
 
-class NoIndependentColumns(DataError):
-    """No regular column subset of the reduced incidence matrix exists."""
-
-
 class ZeroThroughput(DataError):
     """An operation required a strictly positive optimal throughput."""
 

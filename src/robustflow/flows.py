@@ -5,12 +5,15 @@ Both LPs are built from an explicitly constructed initial tableau with one
 commodity block per source that emits demand; the other sources keep their
 global variable indices and carry zero flow.  Each block's basic flows sit
 on a spanning forest of the network and every capacity slack is basic.  The
-throughput LP takes the lowest-index forest for every source: all flows
-zero and slacks at capacity is a feasible vertex, so no phase-1 is ever
-needed.  The linear latency LP fixes the throughput at its target and takes
-a shortest-delay forest per source, whose delay potentials price every
-other edge non-negatively (Ahuja, Magnanti & Orlin 1993, ch. 9): the start
-is dual feasible, and the dual simplex method routes the target from it.
+throughput LP takes the lowest-index spanning forest for every source,
+found by union-find: all flows zero and slacks at capacity is a feasible
+vertex, so no phase-1 is ever needed.  (``network.rank_reduce`` finds the
+same rows and columns by Gram-Schmidt; it is library API and the tests'
+oracle, off the build path.)  The linear latency LP fixes the throughput
+at its target and takes a shortest-delay forest per source, whose delay
+potentials price every other edge non-negatively (Ahuja, Magnanti & Orlin
+1993, ch. 9): the start is dual feasible, and the dual simplex method
+routes the target from it.
 """
 
 from __future__ import annotations
@@ -22,18 +25,11 @@ from itertools import chain, cycle
 
 import numpy as np
 
-from .errors import (
-    InfeasibleSystem,
-    NoIndependentColumns,
-    SaturatedEdge,
-    SolverError,
-    ZeroThroughput,
-)
+from .errors import InfeasibleSystem, SaturatedEdge, SolverError, ZeroThroughput
 from .network import (
     demand_laplacian,
     incidence_matrix,
-    independent_columns,
-    rank_reduce,
+    rank_reduce,  # noqa: F401 -- flows.rank_reduce is a wrap point of perfbench's tracer
 )
 from .simplex import (
     FEAS_TOL,
@@ -123,12 +119,14 @@ class LatencySolution:
     pivot_count: int
 
 
-def _active_sources(demands):
+def _active_sources(net, demands):
     """Sources with positive total outgoing demand, the commodity blocks.
 
     A source with no outgoing demand has a zero Laplacian column: its block
     could only carry circulations, so it is left out of the tableau.
     """
+    if demands.n != net.n_vertices:
+        raise ValueError("demand matrix must have one row and column per vertex")
     if demands.is_zero:
         raise InfeasibleSystem("throughput requires at least one positive demand")
     return np.flatnonzero(demands.entries.sum(axis=1) > 0)
@@ -181,39 +179,71 @@ def _tableau(vm, basic, nonbasic, body, rhs, cost_row, cost_corner):
     )
 
 
+def _split_demand_check(demands, root_of):
+    """Raise ``InfeasibleSystem`` when a demand pair's ends have different
+    component roots ``root_of``."""
+    sources, sinks = np.nonzero(demands.entries > 0)
+    if (root_of[sources] != root_of[sinks]).any():
+        raise InfeasibleSystem(_SPLIT_DEMAND)
+
+
+def _index_forest(net):
+    """Lowest-index spanning forest of the network, edge directions ignored.
+
+    One union-find pass over the edges in index order keeps each edge that
+    joins two trees (Kruskal 1956): the greedy basis of the graphic matroid,
+    so the forest edges are the lowest-index independent columns of the
+    incidence matrix.  Each union makes the higher root the root, so every
+    vertex's root is the highest vertex of its weak component.  Returns the
+    forest edges in index order and the root of every vertex.
+    """
+    parent = list(range(net.n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree = []
+    for e, edge in enumerate(net.edges):
+        a, b = find(edge.tail), find(edge.head)
+        if a != b:
+            parent[min(a, b)] = max(a, b)
+            tree.append(e)
+    return np.array(tree, dtype=int), np.array([find(v) for v in range(net.n_vertices)])
+
+
 def build_throughput_tableau(net, demands, b_override=None):
     """Initial primal-feasible tableau of the maximal concurrent flow LP.
 
     Only sources with positive total outgoing demand get a commodity block
     (n_red balance rows, k non-basic flow columns), so the tableau has
     n_red * |active| + m rows and k * |active| + 1 columns.  Basic variables
-    are the active sources' flows on the lowest-index regular column subset
-    of the reduced incidence matrix plus all capacity slacks; their
-    remaining flows and the throughput variable are non-basic.  Inactive
-    sources' flow variables keep their global indices but appear nowhere, so
-    they read as zero.  The starting vertex has zero flow and slacks equal
-    to the capacities.
+    are the active sources' flows on the lowest-index spanning forest
+    (``_index_forest``) plus all capacity slacks; their remaining flows and
+    the throughput variable are non-basic.  The balance rows are those of
+    every vertex but the highest of its weak component, the lowest-index
+    independent rows of the incidence matrix, so an isolated vertex has
+    none.  Inactive sources' flow variables keep their global indices but
+    appear nowhere, so they read as zero.  The starting vertex has zero flow
+    and slacks equal to the capacities.
     """
-    active = _active_sources(demands)
-    inc = incidence_matrix(net)
-    lap = demand_laplacian(demands)
-    reduced = rank_reduce(inc, lap)
-    if not reduced.feasible:
-        raise InfeasibleSystem(_SPLIT_DEMAND)
-    n_red = reduced.reduced_incidence.shape[0]
-    eta = independent_columns(reduced.reduced_incidence)
-    if len(eta) < n_red:
-        raise NoIndependentColumns("no regular column subset of the reduced incidence")
+    active = _active_sources(net, demands)
+    eta, root_of = _index_forest(net)
+    _split_demand_check(demands, root_of)
     m, n = net.n_edges, net.n_vertices
-    eta = np.asarray(eta, dtype=int)
+    rows = np.flatnonzero(root_of != np.arange(n))
+    reduced_incidence = incidence_matrix(net)[rows]
+    n_red = rows.size
     outside = np.ones(m, dtype=bool)
     outside[eta] = False
     eta_bar = np.flatnonzero(outside)
     k = len(eta_bar)
     n_act = active.size
-    sub = reduced.reduced_incidence[:, eta]
-    w_block = np.linalg.solve(sub, reduced.reduced_incidence[:, eta_bar]) if k else np.zeros((n_red, 0))
-    u_act = np.linalg.solve(sub, reduced.reduced_laplacian[:, active])
+    sub = reduced_incidence[:, eta]
+    w_block = np.linalg.solve(sub, reduced_incidence[:, eta_bar]) if k else np.zeros((n_red, 0))
+    u_act = np.linalg.solve(sub, demand_laplacian(demands)[rows][:, active])
     caps = _checked_capacities(net, b_override)
 
     vm = VariableMap(m, n)
@@ -302,7 +332,7 @@ def build_latency_tableau(net, demands, target, b_override=None):
     negative, the reduced costs never are.  The variable indices are those
     of the throughput LP, whose throughput variable is absent here.
     """
-    active = _active_sources(demands)
+    active = _active_sources(net, demands)
     caps = _checked_capacities(net, b_override)
     m, n = net.n_edges, net.n_vertices
     delays = net.delays
@@ -312,10 +342,7 @@ def build_latency_tableau(net, demands, target, b_override=None):
         out_edges[edge.tail].append((e, edge.head, edge.delay))
         in_edges[edge.head].append((e, edge.tail, edge.delay))
     forests = [_delay_forest(n, out_edges, in_edges, int(s)) for s in active]
-    root_of = np.array(forests[0][2])
-    sources, sinks = np.nonzero(demands.entries > 0)
-    if (root_of[sources] != root_of[sinks]).any():
-        raise InfeasibleSystem(_SPLIT_DEMAND)
+    _split_demand_check(demands, np.array(forests[0][2]))
     # the balance rows of the non-root vertices, one per forest edge
     rows = np.array([forest[0] for forest in forests], dtype=int).reshape(active.size, -1)
     trees = np.array([forest[1] for forest in forests], dtype=int).reshape(rows.shape)

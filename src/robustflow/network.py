@@ -1,5 +1,11 @@
 """Directed multigraph model, incidence matrix, demand Laplacian, and rank
-reduction of the balance equations."""
+reduction of the balance equations.
+
+``rank_reduce`` and ``independent_columns`` find the lowest-index
+independent rows and columns by Gram-Schmidt.  They are library API and the
+tests' oracle: the flow LPs find the same rows and columns as a spanning
+forest (``flows.build_throughput_tableau``), and no solve calls them.
+"""
 
 from __future__ import annotations
 

@@ -60,6 +60,7 @@ from .simplex import (
     Status,
     dual_simplex,
     primal_simplex,
+    rhs_sensitivity,
     shift_rhs,
     tighten_rhs,
 )
@@ -412,7 +413,9 @@ def _keep_level(warm, root, groups, q):
 def _scaled_throughput(values, loads, caps):
     """Throughput that each leaf's old optimal flows keep once scaled into
     ``caps``: its value times min(1, caps / load) over its loaded edges."""
-    ratios = np.divide(caps, loads, out=np.full(loads.shape, np.inf), where=loads > 0)
+    # only ratios below 1 matter; skipping the rest keeps a huge capacity
+    # over a tiny load from overflowing
+    ratios = np.divide(caps, loads, out=np.full(loads.shape, np.inf), where=loads > caps)
     return values * np.minimum(1.0, ratios.min(axis=1))
 
 
@@ -752,9 +755,8 @@ def worst_scenario_subgradient(context, b_current):
     Component e is the right-hand-side sensitivity of the worst scenario's
     LP for edge e's capacity constraint (``rhs_sensitivity``): zero where
     the slack is basic, minus its reduced cost where it is non-basic, read
-    for every edge in one pass over the slack indices.  Entries of deleted
-    edges are forced to zero because the scenario value does not depend on
-    them.
+    for every edge at once.  Entries of deleted edges are forced to zero
+    because the scenario value does not depend on them.
     """
     if context is None or context.worst_tableau is None:
         raise NoTableau("the worst-scenario tableau was not retained")
@@ -763,11 +765,7 @@ def worst_scenario_subgradient(context, b_current):
         b_current, context.capacities, atol=1e-12
     ):
         raise ValueError("b_current does not match the evaluated capacity vector")
-    tableau = context.worst_tableau
-    slacks = np.array([tableau.constraint_slacks[e] for e in range(b_current.size)], dtype=int)
-    edges, cols = (slacks[:, None] == tableau.nonbasic_vars).nonzero()
-    grad = np.zeros(b_current.size)
-    grad[edges] = -tableau.cost_row[cols] / context.scale
+    grad = rhs_sensitivity(context.worst_tableau, range(b_current.size)) / context.scale
     grad[list(context.deleted)] = 0.0
     return grad
 

@@ -44,6 +44,8 @@ from .errors import (
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
+# pricing values beyond this are scaled before they are squared
+SCALE_ABOVE = 1e150
 
 
 class Status(enum.Enum):
@@ -204,13 +206,19 @@ def _choose(values, lines, labels, bland):
     ``lines`` holds the tableau line of each candidate as a column.
     Steepest edge takes the argmax of ``values**2 / (1 + ||line||**2)``, with
     the norms recomputed exactly over the whole array; ``bland`` takes the
-    candidate with the largest variable index in ``labels`` instead.
+    candidate with the largest variable index in ``labels`` instead.  When some
+    |value| exceeds ``SCALE_ABOVE``, all values are first scaled by one
+    power of two: every score scales by its square, exactly, so the squares
+    cannot overflow and the argmax stays put.
     """
     eligible = values < -FEAS_TOL
     if not eligible.any():
         return None
     if bland:
         return int(np.flatnonzero(eligible)[np.argmax(labels[eligible])])
+    largest = np.abs(values).max()
+    if largest > SCALE_ABOVE:
+        values = np.ldexp(values, -np.frexp(largest)[1])
     norms = np.einsum("ij,ij->j", lines, lines)
     return int(np.argmax(np.where(eligible, values * values / (1.0 + norms), -1.0)))
 
@@ -280,6 +288,15 @@ def dual_simplex(tableau, max_pivots=None):
     return _simplex(tableau, max_pivots, dual=True)
 
 
+def _slacks(tableau, constraint_ids):
+    """Global indices of the slacks of ``constraint_ids``, in order."""
+    try:
+        return np.array([tableau.constraint_slacks[c] for c in constraint_ids], dtype=int)
+    except KeyError as missing:
+        raise UnknownConstraint(
+            f"no slack registered for constraint {missing.args[0]!r}") from None
+
+
 def shift_rhs(tableau, increase):
     """Add ``increase[c]`` to the right-hand side of each original inequality
     ``c``, in place; the amounts are signed.
@@ -291,11 +308,7 @@ def shift_rhs(tableau, increase):
     untouched, so a dual-feasible tableau stays dual feasible and is ready
     for ``dual_simplex``.
     """
-    try:
-        slacks = np.array([tableau.constraint_slacks[c] for c in increase], dtype=int)
-    except KeyError as missing:
-        raise UnknownConstraint(
-            f"no slack registered for constraint {missing.args[0]!r}") from None
+    slacks = _slacks(tableau, increase)
     d = np.fromiter(increase.values(), dtype=float, count=slacks.size)
     tab = tableau.tab
     which, rows = (slacks[:, None] == tableau.basic_vars).nonzero()
@@ -326,21 +339,21 @@ def tighten_rhs(tableau, constraint_id, delta):
     return t
 
 
-def rhs_sensitivity(tableau, constraint_id):
+def rhs_sensitivity(tableau, constraint_ids):
     """d(optimal value)/d(b_i) under the fixed-basis assumption.
 
     Zero when the constraint's slack is basic (the inequality is inactive);
     minus the slack's reduced cost when it is non-basic.  At basis
     breakpoints this is the one-sided derivative implied by the current
-    tableau.
+    tableau.  One constraint id gives a float; a list, range or array of
+    them gives an array, read in one pass over their slacks.
     """
-    if constraint_id not in tableau.constraint_slacks:
-        raise UnknownConstraint(f"no slack registered for constraint {constraint_id!r}")
-    slack = tableau.constraint_slacks[constraint_id]
-    if tableau.basic_row_of(slack) is not None:
-        return 0.0
-    col = tableau.nonbasic_col_of(slack)
-    return -float(tableau.cost_row[col])
+    single = not isinstance(constraint_ids, (list, range, np.ndarray))
+    slacks = _slacks(tableau, [constraint_ids] if single else constraint_ids)
+    which, cols = (slacks[:, None] == tableau.nonbasic_vars).nonzero()
+    sensitivities = np.zeros(slacks.size)
+    sensitivities[which] = -tableau.cost_row[cols]
+    return float(sensitivities[0]) if single else sensitivities
 
 
 def add_cut_row(tableau, a_coeffs, b0, constraint_id=None):

@@ -1,12 +1,26 @@
 """Test oracles independent of robustflow's warm-started production paths:
-a phase-1/phase-2 standard-form LP solver and max-flow edge connectivity."""
+a phase-1/phase-2 standard-form LP solver, max-flow edge connectivity, and
+the throughput tableau built by Gram-Schmidt rank reduction."""
 
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
-from robustflow.errors import DataError, DimensionMismatch, SingularBasis
+from robustflow.errors import DataError, DimensionMismatch, InfeasibleSystem, SingularBasis
+from robustflow.flows import (
+    VariableMap,
+    _active_sources,
+    _checked_capacities,
+    _flow_tableau_parts,
+    _tableau,
+)
+from robustflow.network import (
+    demand_laplacian,
+    incidence_matrix,
+    independent_columns,
+    rank_reduce,
+)
 from robustflow.simplex import (
     PIVOT_TOL,
     SimplexTableau,
@@ -150,3 +164,42 @@ def demand_edge_connectivity(net, demands):
         value = nx.maximum_flow_value(graph, s, t)
         best = value if best is None else min(best, value)
     return int(round(best))
+
+
+def rank_reduced_throughput_tableau(net, demands, b_override=None):
+    """The throughput LP's initial tableau with its spanning forest found by
+    linear algebra: the balance rows ``rank_reduce`` keeps and the
+    lowest-index independent columns of the reduced incidence matrix, both
+    by Gram-Schmidt.  ``flows.build_throughput_tableau`` must equal it."""
+    active = _active_sources(net, demands)
+    reduced = rank_reduce(incidence_matrix(net), demand_laplacian(demands))
+    if not reduced.feasible:
+        raise InfeasibleSystem("a demand pair lies in different connected components")
+    n_red = reduced.reduced_incidence.shape[0]
+    eta = np.asarray(independent_columns(reduced.reduced_incidence), dtype=int)
+    assert eta.size == n_red
+    m, n = net.n_edges, net.n_vertices
+    outside = np.ones(m, dtype=bool)
+    outside[eta] = False
+    eta_bar = np.flatnonzero(outside)
+    k = len(eta_bar)
+    n_act = active.size
+    sub = reduced.reduced_incidence[:, eta]
+    w_block = np.linalg.solve(sub, reduced.reduced_incidence[:, eta_bar]) if k else np.zeros((n_red, 0))
+    u_act = np.linalg.solve(sub, reduced.reduced_laplacian[:, active])
+    caps = _checked_capacities(net, b_override)
+
+    vm = VariableMap(m, n)
+    basic, nonbasic, body, order = _flow_tableau_parts(
+        vm, active, np.broadcast_to(eta, (n_act, n_red)),
+        np.broadcast_to(eta_bar, (n_act, k)),
+        np.broadcast_to(w_block, (n_act, n_red, k)), n_extra=1)
+    n_flow_rows = n_red * n_act
+    body[:n_flow_rows, -1] = u_act.T.ravel()
+    body[n_flow_rows:n_flow_rows + n_red, -1] = -u_act.sum(axis=1)
+    rhs = np.zeros(body.shape[0])
+    rhs[n_flow_rows:] = caps[order]
+    cost_row = np.zeros(body.shape[1])
+    cost_row[-1] = -1.0
+    return _tableau(vm, basic, np.append(nonbasic, vm.lambda_index), body, rhs,
+                    cost_row, 0.0)

@@ -306,6 +306,22 @@ class TestRing6RobustifyOutputs:
         assert (code, err) == (0, "")
         assert json.loads(out)["robust_lambda"] > 0
 
+    @pytest.mark.parametrize("budget", ["1e200", "1e300"])
+    @pytest.mark.parametrize("method", ["cutting-plane", "subgradient"])
+    def test_huge_budgets_exit_zero_without_overflow(self, capsys, method, budget):
+        # every warning is an error here, so an overflow in pricing fails the run
+        code, out, err = run(capsys, "robustify-throughput", "--network", RING6, "--q", "1",
+                             "--budget", budget, "--method", method)
+        assert (code, err) == (0, "")
+        # the joint LP's robust lambda grows by this much per unit of budget
+        # (from its values at 1e9 and 1e10), which dwarfs the rest here
+        asymptote = 0.013767209011263888 * float(budget)
+        robust_lambda = json.loads(out)["robust_lambda"]
+        if method == "cutting-plane":
+            assert robust_lambda == pytest.approx(asymptote, rel=1e-9)
+        else:
+            assert 0.9 * asymptote < robust_lambda <= asymptote
+
     def test_cutting_plane_allocation_is_worth_its_value_cold(self, capsys):
         # the allocation is one of several optima; any of them must give 5.0
         _, out, _ = run(capsys, "robustify-throughput", "--network", RING6, "--q", "1",

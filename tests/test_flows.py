@@ -24,11 +24,17 @@ from robustflow.errors import (
     ZeroThroughput,
 )
 from robustflow.flows import (
+    _index_forest,
     build_latency_tableau,
     build_throughput_tableau,
     pin_throughput_tableau,
 )
-from robustflow.network import demand_laplacian, incidence_matrix, rank_reduce
+from robustflow.network import (
+    demand_laplacian,
+    incidence_matrix,
+    independent_columns,
+    rank_reduce,
+)
 from robustflow.robustify import robustify_latency_linear
 from robustflow.simplex import primal_simplex
 
@@ -40,6 +46,7 @@ from conftest import (
     ring_chords_instance,
     throughput_standard_form,
 )
+from oracles import rank_reduced_throughput_tableau
 
 
 def silent_sources(demands):
@@ -71,7 +78,67 @@ def silent_source_corpus(seed, count):
     return corpus
 
 
+def hand_built_cases():
+    """(network, demands within one weak component, a demand pair split
+    across two components or None).
+
+    The networks have an isolated vertex first or last, several weak
+    components with interleaved vertex indices, parallel edges and one-way
+    edges.
+    """
+    def pairs(n, *triples):
+        entries = np.zeros((n, n))
+        for s, t, d in triples:
+            entries[s, t] = d
+        return DemandMatrix(entries)
+
+    return [
+        (Network(4, [(0, 1, 2.0), (1, 2, 3.0), (2, 0, 1.0)]),
+         pairs(4, (0, 2, 1.0), (1, 0, 2.0)), pairs(4, (0, 3, 1.0))),
+        (Network(4, [(1, 2, 2.0), (2, 3, 3.0), (3, 1, 1.0), (2, 1, 4.0)]),
+         pairs(4, (1, 3, 1.0)), pairs(4, (0, 2, 1.0))),
+        (Network(6, [(0, 3, 2.0), (1, 2, 1.0), (3, 5, 4.0), (2, 4, 3.0),
+                     (5, 0, 1.0), (4, 1, 2.0), (1, 4, 5.0)]),
+         pairs(6, (0, 5, 2.0), (2, 1, 1.0), (4, 2, 3.0)), pairs(6, (3, 4, 1.0))),
+        (Network(7, [(6, 5, 1.0), (0, 2, 2.0), (5, 4, 3.0), (2, 0, 1.0), (1, 3, 2.0)]),
+         pairs(7, (6, 4, 1.0), (0, 2, 2.0), (1, 3, 1.0)), pairs(7, (2, 3, 1.0))),
+        (Network(3, [(0, 1, 3.0), (0, 1, 2.0), (1, 2, 1.0), (1, 2, 4.0), (0, 2, 1.0),
+                     (0, 1, 1.0)]),
+         pairs(3, (0, 2, 1.0), (0, 1, 2.0)), None),
+        (Network(4, [(0, 1, 1.0), (2, 1, 2.0), (2, 3, 3.0), (0, 3, 1.0), (3, 0, 2.0)]),
+         pairs(4, (1, 0, 1.0), (2, 3, 2.0), (0, 1, 1.0)), None),
+    ]
+
+
 class TestBuildThroughputTableau:
+    def test_equals_the_rank_reduced_construction(self):
+        corpus = [case for seed in range(1, 41) for case in random_corpus(seed=seed)]
+        corpus += silent_source_corpus(seed=61, count=20)
+        corpus += [ring_chords_instance(n, seed) for n in range(6, 16, 2) for seed in range(8)]
+        corpus += [(net, demands) for net, demands, _ in hand_built_cases()]
+        for net, demands in corpus:
+            # the forest's balance rows and edges are rank_reduce's rows and
+            # independent_columns' choice (dropping another row of a component
+            # would give the same tableau in exact arithmetic)
+            tree, root_of = _index_forest(net)
+            reduced = rank_reduce(incidence_matrix(net), demand_laplacian(demands))
+            assert tuple(np.flatnonzero(root_of != np.arange(net.n_vertices))) == reduced.row_indices
+            assert list(tree) == independent_columns(reduced.reduced_incidence)
+            want = rank_reduced_throughput_tableau(net, demands)
+            got, _ = build_throughput_tableau(net, demands)
+            assert np.array_equal(got.tab, want.tab)
+            assert np.array_equal(got.basic_vars, want.basic_vars)
+            assert np.array_equal(got.nonbasic_vars, want.nonbasic_vars)
+
+    def test_split_demand_rejected_on_hand_built_networks(self):
+        split = [(net, demands) for net, _, demands in hand_built_cases() if demands is not None]
+        assert len(split) == 4
+        for net, demands in split:
+            with pytest.raises(InfeasibleSystem):
+                rank_reduced_throughput_tableau(net, demands)
+            with pytest.raises(InfeasibleSystem):
+                build_throughput_tableau(net, demands)
+
     def test_net_b_layout(self, net_b, demand_ab):
         tableau, vm = build_throughput_tableau(net_b, demand_ab)
         # 2 flow variables + 1 slack + lambda; starting vertex F=0, slack=3
@@ -99,6 +166,17 @@ class TestBuildThroughputTableau:
         )
         with pytest.raises(InfeasibleSystem):
             build_throughput_tableau(net, demands)
+
+    @pytest.mark.parametrize("build", [
+        build_throughput_tableau,
+        lambda net, demands: build_latency_tableau(net, demands, target=1.0)])
+    def test_demand_size_must_match_the_network(self, net_c, build):
+        # one vertex short or over: neither may be read as another instance
+        for n in (2, 4):
+            entries = np.zeros((n, n))
+            entries[0, 1] = 1.0
+            with pytest.raises(ValueError, match="one row and column per vertex"):
+                build(net_c, DemandMatrix(entries))
 
     def test_blocks_only_for_emitting_sources(self, net_c, demand_c):
         # only vertex 0 emits: one block of n_red=2 rows and k=1 column
